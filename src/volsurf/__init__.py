@@ -14,7 +14,8 @@ from .errors import (DegenerateInputError, LinearSolverError,
                      MonotoneConvergenceError, OracleFailure, StepFailure)
 from .grid import (GridGeometry, GridKind, build_interval,
                    build_periodic_strip, build_polar_disk, trace)
-from .linsolve import SolveMethod, SolveStats, assemble_shifted, solve
+from .linsolve import (SolveMethod, SolveStats, assemble_shifted,
+                       check_residual, factor, solve)
 from .model import (Equilibrium, ModelParams, State, ckp_constant,
                     constant_upper_solution, dissipation, entropy,
                     entropy_decomposition, equilibrium_entropy,
@@ -39,7 +40,8 @@ __all__ = [
     "OracleFailure", "StepFailure",
     "GridGeometry", "GridKind", "build_interval", "build_periodic_strip",
     "build_polar_disk", "trace",
-    "SolveMethod", "SolveStats", "assemble_shifted", "solve",
+    "SolveMethod", "SolveStats", "assemble_shifted", "check_residual", "factor",
+    "solve",
     "Equilibrium", "ModelParams", "State", "ckp_constant",
     "constant_upper_solution", "dissipation", "entropy",
     "entropy_decomposition", "equilibrium_entropy",

@@ -14,6 +14,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,10 +54,45 @@ def _check_keys(section: dict, where: str, required: tuple, optional: tuple = ()
             f"missing key(s) in {where}: {', '.join(sorted(missing))}")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a valid number in a config")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _finite_int(text):
+    _finite_float(text)
+    return int(text)
+
+
+def _load_json(path):
+    """Parse a JSON file whose numbers must all be finite: Python's json
+    accepts NaN, Infinity and literals beyond the float range, which no
+    config allows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_reject_constant,
+                         parse_float=_finite_float, parse_int=_finite_int)
+
+
+def _check_whole(section: dict, where: str, keys: tuple):
+    """Integer keys take whole numbers only (10 or 10.0, not 10.7 or true)."""
+    for key in keys:
+        value = section.get(key, 0)
+        if isinstance(value, bool) or not (
+                isinstance(value, int)
+                or isinstance(value, float) and value.is_integer()):
+            raise ValueError(f"{where}.{key} must be a whole number, "
+                             f"got {value!r}")
+
+
 def load_config(path) -> dict:
     """Load a config file, unwrapping a manifest if given one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     if "config" in data:
@@ -81,6 +117,7 @@ def validate_config(cfg: dict):
         raise ValueError(f"geometry.kind must be one of {sorted(dims)}, "
                          f"got {kind!r}")
     _check_keys(geo, f"geometry ({kind})", ("kind",) + dims[kind])
+    _check_whole(geo, "geometry", ("n_cells", "nx", "ny", "nr", "ntheta"))
 
     _check_keys(cfg["params"], "params", ("alpha", "beta", "delta_u"),
                 ("delta_v", "k_u", "k_v"))
@@ -97,9 +134,12 @@ def validate_config(cfg: dict):
 
     _check_keys(cfg["step"], "step", ("dt",),
                 ("newton_tol", "newton_max_iter", "linear_tol"))
+    _check_whole(cfg["step"], "step", ("newton_max_iter",))
     t_end = cfg["t_end"]
-    if not isinstance(t_end, (int, float)) or not t_end >= 0:
-        raise ValueError(f"t_end must be a nonnegative number, got {t_end!r}")
+    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end)
+            and t_end >= 0):
+        raise ValueError(f"t_end must be a finite nonnegative number, "
+                         f"got {t_end!r}")
 
 
 def build_geometry(geo: dict):
@@ -388,8 +428,7 @@ def _set_dotted(cfg: dict, dotted: str, value):
 
 
 def cmd_sweep(args) -> int:
-    with open(_config_path(args), "r", encoding="utf-8") as fh:
-        sweep_spec = json.load(fh)
+    sweep_spec = _load_json(_config_path(args))
     _check_keys(sweep_spec, "sweep config", ("template", "grid"))
     grid = sweep_spec["grid"]
     if not isinstance(grid, dict) or not grid:

@@ -12,7 +12,8 @@ class DegenerateInputError(ValueError):
 
 
 class LinearSolverError(RuntimeError):
-    """Iterative linear solve failed to reach its tolerance.
+    """Sparse direct solve failed: the matrix is singular, or the solution
+    misses its residual tolerance or is not finite.
 
     Attributes:
         stats: SolveStats for the failed solve.

@@ -1,14 +1,12 @@
-"""Sparse SPD solves for the implicit time steps.
+"""Sparse direct solves for the implicit time steps.
 
-Two paths, chosen automatically from the matrix structure:
-
-    - narrow-band systems (anything a reverse Cuthill-McKee reordering brings
-      to bandwidth 5 or less: 1D chains and periodic rings, also several
-      disjoint rings in one matrix) go to a direct sparse factorization;
-    - everything else (the 2D bulk operators) goes to conjugate gradient with
-      Jacobi diagonal scaling, capped at 10x the dimension.
-
-Both paths are deterministic: identical inputs give bit-identical outputs.
+One path: a sparse LU factorization (SuperLU, default column ordering) of the
+assembled matrix. `factor` returns it for reuse across right-hand sides, so a
+caller whose matrix is fixed factors once and solves many times; `solve` is
+the one-shot form. `solve` verifies the true residual, and callers that reuse
+a factorization do so through `check_residual`, so a singular or
+near-singular system raises instead of returning garbage. Identical inputs
+give bit-identical outputs.
 """
 
 from dataclasses import dataclass
@@ -17,26 +15,22 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import LinearSolverError
 
-__all__ = ["SolveMethod", "SolveStats", "assemble_shifted", "solve"]
-
-MAX_BANDWIDTH = 5
-ITERATION_CAP_FACTOR = 10
+__all__ = ["SolveMethod", "SolveStats", "assemble_shifted", "check_residual",
+           "factor", "solve"]
 
 
 class SolveMethod(Enum):
-    BANDED_DIRECT = "banded_direct"
-    CONJUGATE_GRADIENT = "conjugate_gradient"
+    # a single member; kept because perfbench/tracing.py reads stats.method.value
+    DIRECT = "direct"
 
 
 @dataclass(frozen=True)
 class SolveStats:
-    iterations: int
     residual_norm: float
-    method: SolveMethod
+    method: SolveMethod = SolveMethod.DIRECT
 
 
 def assemble_shifted(op: sp.spmatrix, diag_shift: np.ndarray,
@@ -60,66 +54,42 @@ def assemble_shifted(op: sp.spmatrix, diag_shift: np.ndarray,
     return sp.csr_matrix(sp.diags(diag_shift) - scale * op)
 
 
-def _reordered_bandwidth(a: sp.csr_matrix) -> int:
-    """Bandwidth of the matrix under a reverse Cuthill-McKee reordering.
+def factor(a: sp.spmatrix):
+    """Sparse LU of the square matrix a; its .solve(rhs) takes rhs of shape
+    (n,) or (n, m). Raises LinearSolverError if SuperLU finds a exactly
+    singular."""
+    try:
+        return spla.splu(sp.csc_matrix(a))
+    except RuntimeError as exc:
+        raise LinearSolverError(f"sparse LU failed: {exc}",
+                                stats=SolveStats(float("inf"))) from exc
 
-    RCM brings a chain to bandwidth 1 and a periodic ring to bandwidth 2
-    (several disjoint rings stay 2), while a genuinely 2D stencil stays at
-    least as wide as its shorter grid side no matter the ordering.
+
+def check_residual(a: sp.spmatrix, x: np.ndarray, rhs: np.ndarray,
+                   tol: float) -> SolveStats:
+    """Verify a solution of A x = rhs column by column.
+
+    Returns SolveStats with the largest true residual ||Ax - rhs||_2 over the
+    columns. Raises LinearSolverError (stats attached) unless every column
+    meets ||Ax - rhs|| <= tol*||rhs|| with finite values.
     """
-    coo = a.tocoo()
-    if coo.nnz == 0:
-        return 0
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    pos = np.empty(a.shape[0], dtype=np.int64)
-    pos[perm] = np.arange(a.shape[0])
-    return int(np.abs(pos[coo.row] - pos[coo.col]).max())
-
-
-def _solve_direct(a: sp.csr_matrix, rhs: np.ndarray):
-    lu = spla.splu(sp.csc_matrix(a))
-    return lu.solve(rhs)
-
-
-def _solve_pcg(a: sp.csr_matrix, rhs: np.ndarray, tol: float):
-    """Conjugate gradient with Jacobi scaling. Returns (x, iterations).
-
-    Termination is on the true residual ||Ax - b|| <= tol*||b||; the cap is
-    ITERATION_CAP_FACTOR * dimension.
-    """
-    n = a.shape[0]
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros(n), 0
-    inv_diag = 1.0 / a.diagonal()
-    x = np.zeros(n)
-    r = rhs.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    target = tol * rhs_norm
-    cap = ITERATION_CAP_FACTOR * n
-    for it in range(1, cap + 1):
-        ap = a @ p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= target:
-            return x, it
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, cap + 1
+    res = np.linalg.norm(a @ x - rhs, axis=0)
+    target = tol * np.linalg.norm(rhs, axis=0)
+    stats = SolveStats(float(np.max(res)))
+    if not np.all(res <= target):
+        raise LinearSolverError(
+            f"direct solve missed its tolerance (residual "
+            f"{stats.residual_norm:.3e}, target {float(np.max(target)):.3e})",
+            stats=stats)
+    return stats
 
 
 def solve(a: sp.spmatrix, rhs: np.ndarray, tol: float = 1e-10):
-    """Solve the SPD system A x = rhs.
+    """Solve the system A x = rhs with a fresh sparse LU.
 
     Returns (x, SolveStats). residual_norm in the stats is the recomputed
     true residual ||Ax - rhs||_2. Raises LinearSolverError (with the stats
-    attached) if the iterative path exhausts its cap without meeting
-    ||Ax - rhs|| <= tol*||rhs||.
+    attached) if A is singular or the residual misses tol*||rhs||.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = a.shape[0]
@@ -128,18 +98,5 @@ def solve(a: sp.spmatrix, rhs: np.ndarray, tol: float = 1e-10):
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     a = sp.csr_matrix(a)
-
-    if _reordered_bandwidth(a) <= MAX_BANDWIDTH:
-        x = _solve_direct(a, rhs)
-        res = np.linalg.norm(a @ x - rhs)
-        return x, SolveStats(0, float(res), SolveMethod.BANDED_DIRECT)
-
-    x, iterations = _solve_pcg(a, rhs, tol)
-    res = float(np.linalg.norm(a @ x - rhs))
-    stats = SolveStats(iterations, res, SolveMethod.CONJUGATE_GRADIENT)
-    if res > tol * np.linalg.norm(rhs):
-        raise LinearSolverError(
-            f"conjugate gradient stalled after {iterations} iterations "
-            f"(residual {res:.3e}, target {tol * np.linalg.norm(rhs):.3e})",
-            stats=stats)
-    return x, stats
+    x = factor(a).solve(rhs)
+    return x, check_residual(a, x, rhs, tol)

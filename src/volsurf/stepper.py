@@ -7,10 +7,12 @@ tolerances:
     w_i (u_i^{n+1} - u_i^n)/dt = delta_u (W L u^{n+1})_i / w_i ...
 
 in practice assembled as SPD systems diag(w/dt + boundary) - delta * (W L).
-The linear substeps (frozen boundary sources) go through linsolve; the fully
-coupled step runs Newton on the stacked (u, v) unknowns with exact power-law
-partials and a sparse LU per iteration (the stacked Jacobian is not
-symmetric, so the SPD kernels do not apply).
+The linear substeps (frozen boundary sources) have fixed matrices, so
+_LinearStepper assembles and factors them once and then solves per step,
+several trajectories at a time; linear_bulk_step and linear_surface_step are
+its one-shot forms. The fully coupled step runs Newton on the stacked (u, v)
+unknowns with exact power-law partials and a fresh sparse LU per iteration.
+All factorizations go through linsolve.factor.
 """
 
 import dataclasses
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import linsolve
 from .errors import StepFailure
@@ -74,6 +75,71 @@ def _as_gamma_array(value, geom, name):
     return arr
 
 
+def _shifted_solver(weighted_op, diag_shift, scale, tol):
+    """Solver for diag(diag_shift) - scale*weighted_op, assembled and factored
+    once. It maps a right-hand side of shape (n,) or (m, n) to the solution of
+    the same shape, the m rows solved together as one m-column system; with
+    scale 0 the matrix is diagonal and it divides instead."""
+    if scale == 0:
+        return lambda rhs: rhs / diag_shift
+    a = linsolve.assemble_shifted(weighted_op, diag_shift, scale)
+    lu = linsolve.factor(a)
+
+    def solve(rhs):
+        x = lu.solve(rhs.T)
+        linsolve.check_residual(a, x, rhs.T, tol)
+        return x.T
+    return solve
+
+
+class _LinearStepper:
+    """Backward-Euler steps of the linear bulk and surface problems with the
+    Robin coefficient, the absorption and dt fixed.
+
+    Each matrix is assembled and factored once, so a step is a triangular
+    solve. States may carry a leading axis of independent trajectories, which
+    advance together as one multi-column right-hand side. Give robin_coeff
+    for bulk steps and absorption for surface steps.
+    """
+
+    def __init__(self, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
+                 robin_coeff=None, absorption=None):
+        self.geom = geom
+        self.dt = cfg.dt
+        w = geom.omega_weights
+        wg = geom.gamma_weights
+        if robin_coeff is not None:
+            self.rho = _as_gamma_array(robin_coeff, geom, "robin_coeff")
+            if np.any(self.rho < 0):
+                raise ValueError("robin_coeff must be nonnegative")
+            diag_shift = w / cfg.dt
+            np.add.at(diag_shift, geom.trace_cells, wg * self.rho)
+            self._solve_u = _shifted_solver(sp.diags(w) @ geom.bulk_laplacian,
+                                            diag_shift, params.delta_u,
+                                            cfg.linear_tol)
+        if absorption is not None:
+            _check_surface_diffusion(geom, params)
+            a_coeff = _as_gamma_array(absorption, geom, "absorption")
+            if np.any(a_coeff < 0):
+                raise ValueError("absorption must be nonnegative")
+            self._solve_v = _shifted_solver(
+                sp.diags(wg) @ geom.surface_laplacian,
+                wg * (1.0 / cfg.dt + a_coeff), params.delta_v, cfg.linear_tol)
+
+    def bulk(self, u_old, boundary_source):
+        """Returns (u_new, boundary_flux); see linear_bulk_step."""
+        geom = self.geom
+        rhs = geom.omega_weights * u_old / self.dt
+        np.add.at(rhs.T, geom.trace_cells,
+                  (geom.gamma_weights * boundary_source).T)
+        u_new = self._solve_u(rhs)
+        return u_new, boundary_source - self.rho * u_new[..., geom.trace_cells]
+
+    def surface(self, v_old, source):
+        """Returns v_new; see linear_surface_step."""
+        return self._solve_v(self.geom.gamma_weights * (v_old / self.dt + source))
+
+
 def linear_bulk_step(u_old: np.ndarray, robin_coeff, boundary_source,
                      geom: GridGeometry, params: ModelParams,
                      cfg: StepConfig):
@@ -91,48 +157,22 @@ def linear_bulk_step(u_old: np.ndarray, robin_coeff, boundary_source,
     if u_old.shape != (geom.n_omega,):
         raise ValueError(
             f"u_old has shape {u_old.shape}, expected ({geom.n_omega},)")
-    rho = _as_gamma_array(robin_coeff, geom, "robin_coeff")
-    if np.any(rho < 0):
-        raise ValueError("robin_coeff must be nonnegative")
+    stepper = _LinearStepper(geom, params, cfg, robin_coeff=robin_coeff)
     src = _as_gamma_array(boundary_source, geom, "boundary_source")
-
-    w = geom.omega_weights
-    wg = geom.gamma_weights
-    weighted_lap = sp.diags(w) @ geom.bulk_laplacian
-
-    diag_shift = w / cfg.dt
-    np.add.at(diag_shift, geom.trace_cells, wg * rho)
-    a = linsolve.assemble_shifted(weighted_lap, diag_shift, params.delta_u)
-
-    rhs = w * u_old / cfg.dt
-    np.add.at(rhs, geom.trace_cells, wg * src)
-
-    u_new, _ = linsolve.solve(a, rhs, tol=cfg.linear_tol)
-    flux = src - rho * u_new[geom.trace_cells]
-    return u_new, flux
+    return stepper.bulk(u_old, src)
 
 
 def linear_surface_step(v_old: np.ndarray, absorption, source,
                         geom: GridGeometry, params: ModelParams,
                         cfg: StepConfig) -> np.ndarray:
     """One backward-Euler step of v_t - delta_v Lap_Gamma v + absorption*v = source."""
-    _check_surface_diffusion(geom, params)
     v_old = np.asarray(v_old, dtype=float)
     if v_old.shape != (geom.n_gamma,):
         raise ValueError(
             f"v_old has shape {v_old.shape}, expected ({geom.n_gamma},)")
-    a_coeff = _as_gamma_array(absorption, geom, "absorption")
-    if np.any(a_coeff < 0):
-        raise ValueError("absorption must be nonnegative")
+    stepper = _LinearStepper(geom, params, cfg, absorption=absorption)
     src = _as_gamma_array(source, geom, "source")
-
-    wg = geom.gamma_weights
-    weighted_lap = sp.diags(wg) @ geom.surface_laplacian
-    diag_shift = wg * (1.0 / cfg.dt + a_coeff)
-    a = linsolve.assemble_shifted(weighted_lap, diag_shift, params.delta_v)
-    rhs = wg * (v_old / cfg.dt + src)
-    v_new, _ = linsolve.solve(a, rhs, tol=cfg.linear_tol)
-    return v_new
+    return stepper.surface(v_old, src)
 
 
 def semi_discrete_rhs(u: np.ndarray, v: np.ndarray, geom: GridGeometry,
@@ -268,7 +308,7 @@ class _CoupledStepper:
                     f"iterations at t={state.time:g} (reduce dt)",
                     residual_history=history, time=state.time)
             jac = self._jacobian(z)
-            lu = spla.splu(sp.csc_matrix(jac))
+            lu = linsolve.factor(jac)
             z = z + lu.solve(-res)
             res = self._residual(z, u_old, v_old)
             res_norm = float(np.linalg.norm(res))

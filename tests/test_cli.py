@@ -81,6 +81,59 @@ def test_surface_diffusion_on_interval_rejected(tmp_path):
     assert main(["simulate", path, "--out", str(tmp_path)]) == 2
 
 
+def test_nan_initial_value_rejected(tmp_path, capsys):
+    # Python's json reads NaN; State's "< 0" check would let it through
+    cfg = base_config(initial={"kind": "constant", "u0": float("nan"),
+                               "v0": 1.0})
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_infinite_t_end_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(t_end=float("inf")))
+    assert main(["monotone", path, "--out", str(tmp_path)]) == 2
+    assert "Infinity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400])
+def test_overflowing_number_rejected(tmp_path, capsys, literal):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(t_end=123.0)).replace("123.0",
+                                                                 literal))
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_infinite_t_end_override_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    assert main(["simulate", path, "--out", str(tmp_path),
+                 "--t-end", "inf"]) == 2
+    assert "t_end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "n_cells", 10.7),
+    ("geometry", "n_cells", True),
+    ("geometry", "n_cells", "10"),
+    ("step", "newton_max_iter", 2.5),
+])
+def test_fractional_integer_key_rejected(tmp_path, capsys, section, key,
+                                         value):
+    cfg = base_config()
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 2
+    assert "whole number" in capsys.readouterr().err
+
+
+def test_whole_float_for_integer_key_accepted(tmp_path):
+    cfg = base_config()
+    cfg["geometry"]["n_cells"] = 10.0
+    path = write_config(tmp_path, cfg)
+    assert main(["equilibrium", path]) == 0
+
+
 # ---------------------------------------------------------------- equilibrium
 
 
@@ -296,6 +349,14 @@ def test_sweep_rejects_unknown_grid_key(tmp_path, capsys):
     path = write_config(tmp_path, spec, name="sweep.json")
     assert main(["sweep", path, "--out", str(tmp_path)]) == 2
     assert "gamma" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nan_grid_value(tmp_path, capsys):
+    spec = sweep_spec()
+    spec["grid"] = {"initial.u0": [1.0, float("nan")]}
+    path = write_config(tmp_path, spec, name="sweep.json")
+    assert main(["sweep", path, "--out", str(tmp_path)]) == 2
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_sweep_rejects_empty_grid(tmp_path):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from volsurf.errors import MonotoneConvergenceError
-from volsurf.grid import build_interval, build_periodic_strip
-from volsurf.model import ModelParams, State, equilibrium_state, solve_equilibrium
+from volsurf.grid import build_interval, build_periodic_strip, trace
+from volsurf.model import (ModelParams, State, equilibrium_state,
+                           lipschitz_bounds, shifted_f, shifted_g,
+                           solve_equilibrium)
 from volsurf.monotone import (check_sandwich, comparison_experiment,
                               run_monotone)
-from volsurf.stepper import StepConfig, integrate
+from volsurf.stepper import (StepConfig, integrate, linear_bulk_step,
+                             linear_surface_step)
 
 
 def test_zero_start_converges_immediately():
@@ -48,6 +52,7 @@ def test_monotone_limit_matches_newton_trajectory():
     tol = 1e-8
     solution, report = run_monotone(s0, g, p, cfg, 0.5, outer_tol=tol)
     assert report.converged
+    assert report.k_final == 20  # the criterion-6 instance
     assert check_sandwich(report).passed
 
     newton = [s0.copy()]
@@ -142,6 +147,76 @@ def test_run_monotone_validation():
         run_monotone(good, g, p, cfg, 0.5, outer_tol=0.0)
     with pytest.raises(ValueError):
         run_monotone(good, g, p, cfg, 0.5, k_max=0)
+
+
+def _sequential_sweep(s0, prev_u, prev_v, g, p, cfg, l_u, l_v):
+    """One sweep of a single sequence through the one-shot linear steps."""
+    u = [s0.u]
+    v = [s0.v]
+    for n in range(len(prev_u) - 1):
+        ut = trace(prev_u[n + 1], g)
+        vt = prev_v[n + 1]
+        u_new, _ = linear_bulk_step(u[-1], p.alpha * l_u,
+                                    shifted_f(p, l_u, ut, vt), g, p, cfg)
+        u.append(u_new)
+        v.append(linear_surface_step(v[-1], p.beta * l_v,
+                                     shifted_g(p, l_v, ut, vt), g, p, cfg))
+    return np.array(u), np.array(v)
+
+
+def _cosine_state(g, u0, v0, amp):
+    return State(u0 + amp * np.cos(2.0 * np.pi * g.omega_unit_coord),
+                 v0 + amp * np.cos(2.0 * np.pi * g.gamma_unit_coord))
+
+
+@pytest.mark.parametrize("case", ["interval", "strip"])
+def test_lockstep_sweep_matches_sequential_one_shot_sweeps(case):
+    # delta_v = 0 on the interval (diagonal surface step), delta_v > 0 on
+    # the strip (factored surface step)
+    if case == "interval":
+        g = build_interval(20, 1.0)
+        p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
+        s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
+    else:
+        g = build_periodic_strip(8, 4, 2.0, 1.0)
+        p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.1)
+        s0 = _cosine_state(g, 1.0, 0.5, 0.39)
+    _, report = run_monotone(s0, g, p, StepConfig(dt=0.01), 0.1,
+                             outer_tol=1e-6)
+    assert report.k_final >= 3
+    cfg = StepConfig(dt=report.times[1] - report.times[0])
+    l_u, l_v = lipschitz_bounds(p, *report.bounds)
+    worst = 0.0
+    for k in range(1, report.k_final + 1):
+        for stacks in ((report.lower_u, report.lower_v),
+                       (report.upper_u, report.upper_v)):
+            ref_u, ref_v = _sequential_sweep(s0, stacks[0][k - 1],
+                                             stacks[1][k - 1], g, p, cfg,
+                                             l_u, l_v)
+            scale = max(np.max(np.abs(ref_u)), np.max(np.abs(ref_v)))
+            worst = max(worst,
+                        np.max(np.abs(stacks[0][k] - ref_u)) / scale,
+                        np.max(np.abs(stacks[1][k] - ref_v)) / scale)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("delta_v, expected", [(0.1, 2), (0.0, 1)])
+def test_run_factors_once_whatever_the_sweep_count(monkeypatch, delta_v,
+                                                   expected):
+    calls = []
+    real_splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    g = build_periodic_strip(8, 4, 2.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=delta_v)
+    _, report = run_monotone(_cosine_state(g, 1.0, 0.5, 0.39), g, p,
+                             StepConfig(dt=0.02), 0.2)
+    assert report.k_final > 5
+    assert len(calls) == expected
 
 
 # ------------------------------------------------------- comparison principle
