@@ -79,15 +79,26 @@ def _load_json(path):
                          parse_float=_finite_float, parse_int=_finite_int)
 
 
-def _check_whole(section: dict, where: str, keys: tuple):
-    """Integer keys take whole numbers only (10 or 10.0, not 10.7 or true)."""
+def _check_numbers(section: dict, where: str, keys: tuple, whole=False):
+    """Numeric keys take finite JSON numbers, not bools or strings; with
+    whole, only whole numbers (10 or 10.0, not 10.7)."""
     for key in keys:
-        value = section.get(key, 0)
-        if isinstance(value, bool) or not (
-                isinstance(value, int)
-                or isinstance(value, float) and value.is_integer()):
-            raise ValueError(f"{where}.{key} must be a whole number, "
-                             f"got {value!r}")
+        if key not in section:
+            continue
+        value = section[key]
+        ok = isinstance(value, int) and not isinstance(value, bool) or (
+            isinstance(value, float) and math.isfinite(value)
+            and (not whole or value.is_integer()))
+        if not ok:
+            kind = "a whole number" if whole else "a finite number"
+            raise ValueError(f"{where}.{key} must be {kind}, got {value!r}")
+
+
+def _check_strings(section: dict, where: str, keys: tuple):
+    for key in keys:
+        if key in section and not isinstance(section[key], str):
+            raise ValueError(f"{where}.{key} must be a string, "
+                             f"got {section[key]!r}")
 
 
 def load_config(path) -> dict:
@@ -109,6 +120,7 @@ def validate_config(cfg: dict):
     _check_keys(geo, "geometry", ("kind",), (
         "n_cells", "length", "nx", "ny", "width", "height",
         "nr", "ntheta", "radius"))
+    _check_strings(geo, "geometry", ("kind",))
     kind = geo["kind"]
     dims = {"interval": ("n_cells", "length"),
             "strip": ("nx", "ny", "width", "height"),
@@ -117,13 +129,18 @@ def validate_config(cfg: dict):
         raise ValueError(f"geometry.kind must be one of {sorted(dims)}, "
                          f"got {kind!r}")
     _check_keys(geo, f"geometry ({kind})", ("kind",) + dims[kind])
-    _check_whole(geo, "geometry", ("n_cells", "nx", "ny", "nr", "ntheta"))
+    _check_numbers(geo, "geometry", ("length", "width", "height", "radius"))
+    _check_numbers(geo, "geometry", ("n_cells", "nx", "ny", "nr", "ntheta"),
+                   whole=True)
 
     _check_keys(cfg["params"], "params", ("alpha", "beta", "delta_u"),
                 ("delta_v", "k_u", "k_v"))
+    _check_numbers(cfg["params"], "params",
+                   ("alpha", "beta", "delta_u", "delta_v", "k_u", "k_v"))
 
     ini = cfg["initial"]
     _check_keys(ini, "initial", ("kind", "u0", "v0"), ("amplitude",))
+    _check_strings(ini, "initial", ("kind",))
     if ini["kind"] not in ("constant", "step", "cosine"):
         raise ValueError("initial.kind must be one of ['constant', 'cosine', "
                          f"'step'], got {ini['kind']!r}")
@@ -131,15 +148,19 @@ def validate_config(cfg: dict):
         raise ValueError("initial.amplitude is not accepted for kind 'constant'")
     if ini["kind"] != "constant" and "amplitude" not in ini:
         raise ValueError(f"initial.amplitude is required for kind {ini['kind']!r}")
+    _check_numbers(ini, "initial", ("u0", "v0", "amplitude"))
 
     _check_keys(cfg["step"], "step", ("dt",),
                 ("newton_tol", "newton_max_iter", "linear_tol"))
-    _check_whole(cfg["step"], "step", ("newton_max_iter",))
-    t_end = cfg["t_end"]
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end)
-            and t_end >= 0):
+    _check_numbers(cfg["step"], "step", ("dt", "newton_tol", "linear_tol"))
+    _check_numbers(cfg["step"], "step", ("newton_max_iter",), whole=True)
+
+    _check_numbers(cfg, "config", ("t_end",))
+    if cfg["t_end"] < 0:
         raise ValueError(f"t_end must be a finite nonnegative number, "
-                         f"got {t_end!r}")
+                         f"got {cfg['t_end']!r}")
+    _check_numbers(cfg, "config", ("seed",), whole=True)
+    _check_strings(cfg, "config", ("out",))
 
 
 def build_geometry(geo: dict):

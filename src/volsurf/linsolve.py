@@ -56,8 +56,8 @@ def assemble_shifted(op: sp.spmatrix, diag_shift: np.ndarray,
 
 def factor(a: sp.spmatrix):
     """Sparse LU of the square matrix a; its .solve(rhs) takes rhs of shape
-    (n,) or (n, m). Raises LinearSolverError if SuperLU finds a exactly
-    singular."""
+    (n,) or (n, m). A CSC matrix is factored without a copy. Raises
+    LinearSolverError if SuperLU finds a exactly singular."""
     try:
         return spla.splu(sp.csc_matrix(a))
     except RuntimeError as exc:

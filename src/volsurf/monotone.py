@@ -12,10 +12,11 @@ The discrete steps inherit this ordering exactly (M-matrix structure), so
 the recorded gap g_k is a certificate: the returned midpoint trajectory is
 within g_k/2 of the backward-Euler solution in sup norm.
 
-The linear matrices are the same for every step of every sweep (Robin
-coefficient alpha*L_u, absorption beta*L_v, fixed dt), so they are factored
-once per run, and the lower and upper sweeps of one outer iteration, which
-both read only iterate k-1, advance together as a two-column right-hand side.
+The linear bulk and surface matrices are the same for every step of every
+sweep (Robin coefficient alpha*L_u, absorption beta*L_v, fixed dt), so one
+block matrix holding both is factored once per run, and the lower and upper
+sweeps of one outer iteration, which both read only iterate k-1, advance
+together as a two-column right-hand side.
 """
 
 from dataclasses import dataclass, field
@@ -101,8 +102,9 @@ def _sweep_pair(u0, v0, prev_u, prev_v, stepper, params, l_u, l_v):
     for n in range(len(prev_u) - 1):
         ut = prev_u[n + 1][:, tc]
         vt = prev_v[n + 1]
-        u_traj[n + 1], _ = stepper.bulk(u_traj[n], shifted_f(params, l_u, ut, vt))
-        v_traj[n + 1] = stepper.surface(v_traj[n], shifted_g(params, l_v, ut, vt))
+        u_traj[n + 1], v_traj[n + 1], _ = stepper.step(
+            u_traj[n], v_traj[n], shifted_f(params, l_u, ut, vt),
+            shifted_g(params, l_v, ut, vt))
     return u_traj, v_traj
 
 
@@ -121,7 +123,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
         raise ValueError("state does not match geometry dimensions")
     if t_horizon <= 0:
         raise ValueError(f"t_horizon must be positive, got {t_horizon}")
-    if outer_tol <= 0:
+    if not outer_tol > 0:
         raise ValueError(f"outer_tol must be positive, got {outer_tol}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -160,8 +162,8 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     a_bound, b_bound = constant_upper_solution(params, sup_u0, sup_v0)
     l_u, l_v = lipschitz_bounds(params, a_bound, b_bound)
 
-    stepper = _LinearStepper(geom, params, cfg_h, robin_coeff=params.alpha * l_u,
-                             absorption=params.beta * l_v)
+    stepper = _LinearStepper(geom, params, cfg_h, params.alpha * l_u,
+                             params.beta * l_v)
 
     report = IterationReport(times=times, bounds=(a_bound, b_bound),
                              outer_tol=outer_tol)

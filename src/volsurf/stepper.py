@@ -6,13 +6,16 @@ tolerances:
 
     w_i (u_i^{n+1} - u_i^n)/dt = delta_u (W L u^{n+1})_i / w_i ...
 
-in practice assembled as SPD systems diag(w/dt + boundary) - delta * (W L).
-The linear substeps (frozen boundary sources) have fixed matrices, so
-_LinearStepper assembles and factors them once and then solves per step,
-several trajectories at a time; linear_bulk_step and linear_surface_step are
-its one-shot forms. The fully coupled step runs Newton on the stacked (u, v)
-unknowns with exact power-law partials and a fresh sparse LU per iteration.
-All factorizations go through linsolve.factor.
+On the stacked unknowns z = (u, v) with masses M = (w, w_Gamma), every
+implicit matrix is diag(M/dt + shift) - D, where D = blockdiag(delta_u W L,
+delta_v W_Gamma L_Gamma) is assembled once per stepper by
+_weighted_diffusion. The linear substeps (frozen sources) have a fixed,
+block-diagonal matrix, so _LinearStepper factors it once and then solves per
+step, several trajectories at a time; linear_bulk_step and
+linear_surface_step are independent one-shot references. The fully coupled
+step runs Newton on z with exact power-law partials, written into a CSC
+Jacobian pattern built once, and a fresh sparse LU per iteration. All
+factorizations go through linsolve.factor.
 """
 
 import dataclasses
@@ -65,79 +68,74 @@ def _check_surface_diffusion(geom: GridGeometry, params: ModelParams):
             "(point boundary has no surface Laplacian)")
 
 
-def _as_gamma_array(value, geom, name):
+def _as_gamma_array(value, geom, name, nonnegative=False):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = np.full(geom.n_gamma, float(arr))
     if arr.shape != (geom.n_gamma,):
         raise ValueError(
             f"{name} has shape {arr.shape}, expected ({geom.n_gamma},) or scalar")
+    if nonnegative and np.any(arr < 0):
+        raise ValueError(f"{name} must be nonnegative")
     return arr
 
 
-def _shifted_solver(weighted_op, diag_shift, scale, tol):
-    """Solver for diag(diag_shift) - scale*weighted_op, assembled and factored
-    once. It maps a right-hand side of shape (n,) or (m, n) to the solution of
-    the same shape, the m rows solved together as one m-column system; with
-    scale 0 the matrix is diagonal and it divides instead."""
-    if scale == 0:
-        return lambda rhs: rhs / diag_shift
-    a = linsolve.assemble_shifted(weighted_op, diag_shift, scale)
-    lu = linsolve.factor(a)
-
-    def solve(rhs):
-        x = lu.solve(rhs.T)
-        linsolve.check_residual(a, x, rhs.T, tol)
-        return x.T
-    return solve
+def _weighted_diffusion(geom: GridGeometry, params: ModelParams) -> sp.csr_matrix:
+    """D = blockdiag(delta_u W L, delta_v W_Gamma L_Gamma) on the stacked
+    unknowns z = (u, v): the diffusion part of every implicit matrix, which
+    is diag(M/dt + shift) - D with M = (w, w_Gamma). Symmetric negative
+    semidefinite; a block with zero diffusivity holds no entries."""
+    d = sp.block_diag(
+        [params.delta_u * (sp.diags(geom.omega_weights) @ geom.bulk_laplacian),
+         params.delta_v * (sp.diags(geom.gamma_weights) @ geom.surface_laplacian)],
+        format="csr")
+    d.eliminate_zeros()
+    return d
 
 
 class _LinearStepper:
     """Backward-Euler steps of the linear bulk and surface problems with the
     Robin coefficient, the absorption and dt fixed.
 
-    Each matrix is assembled and factored once, so a step is a triangular
-    solve. States may carry a leading axis of independent trajectories, which
-    advance together as one multi-column right-hand side. Give robin_coeff
-    for bulk steps and absorption for surface steps.
+    The two problems are decoupled, so one block matrix
+    diag(M/dt + shift) - D holds both; it is assembled and factored once and
+    a step is a triangular solve. States may carry a leading axis of
+    independent trajectories, which advance together as one multi-column
+    right-hand side.
     """
 
     def __init__(self, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
-                 robin_coeff=None, absorption=None):
+                 robin_coeff, absorption):
+        _check_surface_diffusion(geom, params)
         self.geom = geom
         self.dt = cfg.dt
-        w = geom.omega_weights
+        self.tol = cfg.linear_tol
+        self.rho = _as_gamma_array(robin_coeff, geom, "robin_coeff",
+                                   nonnegative=True)
+        a_coeff = _as_gamma_array(absorption, geom, "absorption",
+                                  nonnegative=True)
         wg = geom.gamma_weights
-        if robin_coeff is not None:
-            self.rho = _as_gamma_array(robin_coeff, geom, "robin_coeff")
-            if np.any(self.rho < 0):
-                raise ValueError("robin_coeff must be nonnegative")
-            diag_shift = w / cfg.dt
-            np.add.at(diag_shift, geom.trace_cells, wg * self.rho)
-            self._solve_u = _shifted_solver(sp.diags(w) @ geom.bulk_laplacian,
-                                            diag_shift, params.delta_u,
-                                            cfg.linear_tol)
-        if absorption is not None:
-            _check_surface_diffusion(geom, params)
-            a_coeff = _as_gamma_array(absorption, geom, "absorption")
-            if np.any(a_coeff < 0):
-                raise ValueError("absorption must be nonnegative")
-            self._solve_v = _shifted_solver(
-                sp.diags(wg) @ geom.surface_laplacian,
-                wg * (1.0 / cfg.dt + a_coeff), params.delta_v, cfg.linear_tol)
+        diag_shift = np.concatenate([geom.omega_weights / cfg.dt,
+                                     wg * (1.0 / cfg.dt + a_coeff)])
+        np.add.at(diag_shift, geom.trace_cells, wg * self.rho)
+        self.a = linsolve.assemble_shifted(_weighted_diffusion(geom, params),
+                                           diag_shift, 1.0)
+        self.lu = linsolve.factor(self.a)
 
-    def bulk(self, u_old, boundary_source):
-        """Returns (u_new, boundary_flux); see linear_bulk_step."""
+    def step(self, u_old, v_old, boundary_source, surface_source):
+        """Returns (u_new, v_new, boundary_flux); see linear_bulk_step and
+        linear_surface_step."""
         geom = self.geom
-        rhs = geom.omega_weights * u_old / self.dt
-        np.add.at(rhs.T, geom.trace_cells,
-                  (geom.gamma_weights * boundary_source).T)
-        u_new = self._solve_u(rhs)
-        return u_new, boundary_source - self.rho * u_new[..., geom.trace_cells]
-
-    def surface(self, v_old, source):
-        """Returns v_new; see linear_surface_step."""
-        return self._solve_v(self.geom.gamma_weights * (v_old / self.dt + source))
+        wg = geom.gamma_weights
+        rhs_u = geom.omega_weights * u_old / self.dt
+        np.add.at(rhs_u.T, geom.trace_cells, (wg * boundary_source).T)
+        rhs = np.concatenate([rhs_u, wg * (v_old / self.dt + surface_source)],
+                             axis=-1).T
+        z = self.lu.solve(rhs)
+        linsolve.check_residual(self.a, z, rhs, self.tol)
+        u_new, v_new = z.T[..., :geom.n_omega], z.T[..., geom.n_omega:]
+        return (u_new, v_new,
+                boundary_source - self.rho * u_new[..., geom.trace_cells])
 
 
 def linear_bulk_step(u_old: np.ndarray, robin_coeff, boundary_source,
@@ -151,28 +149,43 @@ def linear_bulk_step(u_old: np.ndarray, robin_coeff, boundary_source,
 
         (w @ u_new - w @ u_old)/dt == gamma_weights @ boundary_flux
 
-    up to the linear solve tolerance (the conservation pairing).
+    up to the linear solve tolerance (the conservation pairing). A one-shot
+    assembly and solve, independent of the factored sweep stepper.
     """
     u_old = np.asarray(u_old, dtype=float)
     if u_old.shape != (geom.n_omega,):
         raise ValueError(
             f"u_old has shape {u_old.shape}, expected ({geom.n_omega},)")
-    stepper = _LinearStepper(geom, params, cfg, robin_coeff=robin_coeff)
+    rho = _as_gamma_array(robin_coeff, geom, "robin_coeff", nonnegative=True)
     src = _as_gamma_array(boundary_source, geom, "boundary_source")
-    return stepper.bulk(u_old, src)
+    w, wg = geom.omega_weights, geom.gamma_weights
+    diag_shift = w / cfg.dt
+    np.add.at(diag_shift, geom.trace_cells, wg * rho)
+    rhs = w * u_old / cfg.dt
+    np.add.at(rhs, geom.trace_cells, wg * src)
+    a = linsolve.assemble_shifted(sp.diags(w) @ geom.bulk_laplacian,
+                                  diag_shift, params.delta_u)
+    u_new, _ = linsolve.solve(a, rhs, cfg.linear_tol)
+    return u_new, src - rho * u_new[geom.trace_cells]
 
 
 def linear_surface_step(v_old: np.ndarray, absorption, source,
                         geom: GridGeometry, params: ModelParams,
                         cfg: StepConfig) -> np.ndarray:
-    """One backward-Euler step of v_t - delta_v Lap_Gamma v + absorption*v = source."""
+    """One backward-Euler step of v_t - delta_v Lap_Gamma v + absorption*v = source.
+    A one-shot assembly and solve, independent of the factored sweep stepper."""
     v_old = np.asarray(v_old, dtype=float)
     if v_old.shape != (geom.n_gamma,):
         raise ValueError(
             f"v_old has shape {v_old.shape}, expected ({geom.n_gamma},)")
-    stepper = _LinearStepper(geom, params, cfg, absorption=absorption)
+    _check_surface_diffusion(geom, params)
+    a_coeff = _as_gamma_array(absorption, geom, "absorption", nonnegative=True)
     src = _as_gamma_array(source, geom, "source")
-    return stepper.surface(v_old, src)
+    wg = geom.gamma_weights
+    a = linsolve.assemble_shifted(sp.diags(wg) @ geom.surface_laplacian,
+                                  wg * (1.0 / cfg.dt + a_coeff), params.delta_v)
+    v_new, _ = linsolve.solve(a, wg * (v_old / cfg.dt + src), cfg.linear_tol)
+    return v_new
 
 
 def semi_discrete_rhs(u: np.ndarray, v: np.ndarray, geom: GridGeometry,
@@ -194,24 +207,14 @@ def semi_discrete_rhs(u: np.ndarray, v: np.ndarray, geom: GridGeometry,
     return du, dv
 
 
-def _csr_entry_indices(a: sp.csr_matrix, rows, cols):
-    """Flat positions of (rows[k], cols[k]) inside a.data; indices must exist."""
-    out = np.empty(len(rows), dtype=np.int64)
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        pos = lo + np.searchsorted(a.indices[lo:hi], j)
-        if pos >= hi or a.indices[pos] != j:
-            raise AssertionError("missing structural entry in Jacobian pattern")
-        out[k] = pos
-    return out
-
-
 class _CoupledStepper:
-    """Reusable backward-Euler Newton stepper with a frozen Jacobian pattern.
+    """Reusable backward-Euler Newton stepper on z = (u, v).
 
-    The sparsity of the stacked Jacobian never changes, so the constant
-    diffusion/identity part is assembled once and only the four reaction
-    entry groups are rewritten each Newton iteration.
+    The residual is (M/dt)(z - z_old) - D z plus the reaction at the trace
+    entries. The CSC pattern of diag(M/dt) - D, with explicit zeros at the
+    four reaction slots of each patch (trace cell and patch, in both roles),
+    is built once; each Newton iteration adds the reaction partials to a
+    copy of the constant data.
     """
 
     def __init__(self, geom: GridGeometry, params: ModelParams, cfg: StepConfig):
@@ -220,80 +223,59 @@ class _CoupledStepper:
         self.params = params
         self.cfg = cfg
         n_u, n_g = geom.n_omega, geom.n_gamma
+        n = n_u + n_g
         self.n_u = n_u
-        w = geom.omega_weights
-        wg = geom.gamma_weights
-        dt = cfg.dt
+        self.mass = np.concatenate([geom.omega_weights, geom.gamma_weights])
+        self.diffusion = _weighted_diffusion(geom, params)
 
-        k_u = sp.diags(w / dt) - params.delta_u * (sp.diags(w) @ geom.bulk_laplacian)
-        k_v = sp.diags(wg / dt)
-        if params.delta_v > 0:
-            k_v = k_v - params.delta_v * (sp.diags(wg) @ geom.surface_laplacian)
-
+        base = (sp.diags(self.mass / cfg.dt) - self.diffusion).tocoo()
         tc = geom.trace_cells
-        ones = np.ones(n_g)
-        c_uv = sp.coo_matrix((ones, (tc, np.arange(n_g))), shape=(n_u, n_g))
-        c_vu = sp.coo_matrix((ones, (np.arange(n_g), tc)), shape=(n_g, n_u))
-        jac = sp.bmat([[k_u, c_uv], [c_vu, k_v]], format="csr")
-        jac.sort_indices()
+        patch = n_u + np.arange(n_g)
+        rows = np.concatenate([tc, tc, patch, patch])
+        cols = np.concatenate([tc, patch, tc, patch])
+        # COO -> CSC sums duplicates and keeps the explicit zeros
+        self.jac = sp.csc_matrix(
+            (np.concatenate([base.data, np.zeros(4 * n_g)]),
+             (np.concatenate([base.row, rows]),
+              np.concatenate([base.col, cols]))), shape=(n, n))
+        col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.jac.indptr))
+        keys = col_of * n + self.jac.indices
+        self.slots = np.searchsorted(keys, cols.astype(np.int64) * n + rows)
+        self.base_data = self.jac.data.copy()
 
-        self.idx_uu = _csr_entry_indices(jac, tc, tc)
-        self.idx_uv = _csr_entry_indices(jac, tc, n_u + np.arange(n_g))
-        self.idx_vu = _csr_entry_indices(jac, n_u + np.arange(n_g), tc)
-        self.idx_vv = _csr_entry_indices(jac, n_u + np.arange(n_g),
-                                         n_u + np.arange(n_g))
-        base = jac.data.copy()
-        base[self.idx_uv] -= 1.0  # remove coupling placeholders
-        base[self.idx_vu] -= 1.0
-        self.jac = jac
-        self.base_data = base
-
-        self.weighted_lap_u = sp.diags(w) @ geom.bulk_laplacian
-        self.weighted_lap_v = (sp.diags(wg) @ geom.surface_laplacian
-                               if params.delta_v > 0 else None)
-
-    def _residual(self, z, u_old, v_old):
+    def _residual(self, z, z_old):
         p = self.params
         geom = self.geom
-        n_u = self.n_u
-        u = z[:n_u]
-        v = z[n_u:]
-        ut = np.maximum(u[geom.trace_cells], 0.0)
-        vc = np.maximum(v, 0.0)
-        r = p.k_u * ut ** p.alpha - p.k_v * vc ** p.beta
-        w = geom.omega_weights
         wg = geom.gamma_weights
-        res_u = w * (u - u_old) / self.cfg.dt - p.delta_u * (self.weighted_lap_u @ u)
-        np.add.at(res_u, geom.trace_cells, wg * p.alpha * r)
-        res_v = wg * (v - v_old) / self.cfg.dt - wg * p.beta * r
-        if self.weighted_lap_v is not None:
-            res_v -= p.delta_v * (self.weighted_lap_v @ v)
-        return np.concatenate([res_u, res_v])
+        ut = np.maximum(z[geom.trace_cells], 0.0)
+        vc = np.maximum(z[self.n_u:], 0.0)
+        r = p.k_u * ut ** p.alpha - p.k_v * vc ** p.beta
+        res = self.mass * (z - z_old) / self.cfg.dt - self.diffusion @ z
+        np.add.at(res, geom.trace_cells, wg * p.alpha * r)
+        res[self.n_u:] -= wg * p.beta * r
+        return res
 
     def _jacobian(self, z):
         p = self.params
         geom = self.geom
-        n_u = self.n_u
-        ut = np.maximum(z[:n_u][geom.trace_cells], DERIVATIVE_FLOOR)
-        vc = np.maximum(z[n_u:], DERIVATIVE_FLOOR)
+        wg = geom.gamma_weights
+        ut = np.maximum(z[geom.trace_cells], DERIVATIVE_FLOOR)
+        vc = np.maximum(z[self.n_u:], DERIVATIVE_FLOOR)
         dpu = p.k_u * p.alpha * ut ** (p.alpha - 1.0)
         dpv = p.k_v * p.beta * vc ** (p.beta - 1.0)
-        wg = geom.gamma_weights
         data = self.base_data.copy()
-        np.add.at(data, self.idx_uu, wg * p.alpha * dpu)
-        data[self.idx_uv] = -wg * p.alpha * dpv
-        data[self.idx_vu] = -wg * p.beta * dpu
-        np.add.at(data, self.idx_vv, wg * p.beta * dpv)
+        np.add.at(data, self.slots,
+                  np.concatenate([wg * p.alpha * dpu, -wg * p.alpha * dpv,
+                                  -wg * p.beta * dpu, wg * p.beta * dpv]))
         self.jac.data = data
         return self.jac
 
     def step(self, state: State) -> State:
         cfg = self.cfg
         n_u = self.n_u
-        u_old = state.u
-        v_old = state.v
-        z = np.concatenate([u_old, v_old])
-        res = self._residual(z, u_old, v_old)
+        z_old = np.concatenate([state.u, state.v])
+        z = z_old
+        res = self._residual(z, z_old)
         res_norm = float(np.linalg.norm(res))
         history = [res_norm]
         scale = max(1.0, res_norm)
@@ -310,7 +292,7 @@ class _CoupledStepper:
             jac = self._jacobian(z)
             lu = linsolve.factor(jac)
             z = z + lu.solve(-res)
-            res = self._residual(z, u_old, v_old)
+            res = self._residual(z, z_old)
             res_norm = float(np.linalg.norm(res))
             history.append(res_norm)
             if not np.isfinite(res_norm) or res_norm > 1e8 * scale:

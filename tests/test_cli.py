@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import volsurf.diagnostics as diagnostics
 from volsurf.cli import SUITES, main
@@ -134,6 +137,87 @@ def test_whole_float_for_integer_key_accepted(tmp_path):
     assert main(["equilibrium", path]) == 0
 
 
+@pytest.mark.parametrize("dotted, value", [
+    ("step.dt", None),
+    ("initial.u0", None),
+    ("seed", None),
+    ("out", 5),
+    ("geometry.kind", ["interval"]),
+    ("params.alpha", "2"),
+    ("initial.u0", True),
+    ("t_end", True),
+    ("seed", 1.5),
+])
+def test_mistyped_config_value_rejected(tmp_path, capsys, dotted, value):
+    cfg = base_config(seed=3)
+    *head, last = dotted.split(".")
+    node = cfg
+    for key in head:
+        node = node[key]
+    node[last] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["equilibrium", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and last in err
+
+
+LEAF_CONFIGS = {
+    "interval": base_config(seed=3, out="run"),
+    "strip": {
+        "geometry": {"kind": "strip", "nx": 8, "ny": 4, "width": 2.0,
+                     "height": 1.0},
+        "params": {"alpha": 2.0, "beta": 1.0, "delta_u": 1.0,
+                   "delta_v": 0.1, "k_u": 1.0, "k_v": 1.0},
+        "initial": {"kind": "cosine", "u0": 1.0, "v0": 0.5,
+                    "amplitude": 0.3},
+        "step": {"dt": 0.01, "newton_tol": 1e-12, "newton_max_iter": 25,
+                 "linear_tol": 1e-10},
+        "t_end": 0.1,
+    },
+    "disk": {
+        "geometry": {"kind": "disk", "nr": 4, "ntheta": 8, "radius": 1.0},
+        "params": {"alpha": 1.0, "beta": 2.0, "delta_u": 1.0},
+        "initial": {"kind": "step", "u0": 1.0, "v0": 1.0, "amplitude": 0.5},
+        "step": {"dt": 0.02},
+        "t_end": 0.2,
+        "seed": 0,
+    },
+}
+
+
+def _leaf_paths(node, prefix=()):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                          st.integers(-100, 100), st.floats(-100, 100))
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=3))
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_one_leaf_value_runs_or_exits_2(tmp_path, data):
+    # numbers stay within [-100, 100]: larger grids than memory holds and
+    # dt small enough for an astronomical step count are not covered
+    kind = data.draw(st.sampled_from(sorted(LEAF_CONFIGS)))
+    cfg = copy.deepcopy(LEAF_CONFIGS[kind])
+    *head, last = data.draw(st.sampled_from(list(_leaf_paths(cfg))))
+    node = cfg
+    for key in head:
+        node = node[key]
+    node[last] = data.draw(_JSON_VALUES)
+    path = write_config(tmp_path, cfg)
+    assert main(["equilibrium", path]) in (0, 2)
+
+
 # ---------------------------------------------------------------- equilibrium
 
 
@@ -209,6 +293,15 @@ def test_monotone_nonconvergence_exits_3(tmp_path, capsys):
                "--outer-tol", "1e-15", "--k-max", "2"])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_monotone_nan_outer_tol_is_usage_error(tmp_path, capsys):
+    cfg = base_config(initial={"kind": "constant", "u0": 1.0, "v0": 0.0})
+    path = write_config(tmp_path, cfg)
+    rc = main(["monotone", path, "--out", str(tmp_path),
+               "--outer-tol", "nan"])
+    assert rc == 2
+    assert "outer_tol" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- verify

@@ -6,8 +6,8 @@ from volsurf.errors import StepFailure
 from volsurf.grid import build_interval, build_periodic_strip
 from volsurf.model import (ModelParams, State, entropy, equilibrium_state,
                            mass, solve_equilibrium)
-from volsurf.stepper import (StepConfig, coupled_step, integrate,
-                             linear_bulk_step, linear_surface_step,
+from volsurf.stepper import (StepConfig, _CoupledStepper, coupled_step,
+                             integrate, linear_bulk_step, linear_surface_step,
                              semi_discrete_rhs)
 
 
@@ -214,6 +214,31 @@ def test_integrate_first_order_in_dt():
         sf = integrate(State(u0.copy(), v0.copy()), g, p, StepConfig(dt=dt), 0.05)
         errs.append(np.max(np.abs(np.concatenate([sf.u, sf.v]) - ref)))
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.5)
+
+
+def test_newton_jacobian_matches_finite_differences():
+    # surface diffusion and unequal exponents exercise every block of the
+    # CSC pattern: diffusion, the four reaction slots and their overlap with
+    # the mass diagonal
+    g = build_periodic_strip(6, 3, 2.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
+                    k_u=1.3, k_v=0.8)
+    stepper = _CoupledStepper(g, p, StepConfig(dt=0.05))
+    rng = np.random.default_rng(3)
+    n = g.n_omega + g.n_gamma
+    z = rng.uniform(0.5, 2.0, n)
+    z_old = rng.uniform(0.5, 2.0, n)
+    jac = stepper._jacobian(z)
+    assert jac.format == "csc"
+    h = 1e-6
+    fd = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        fd[:, j] = (stepper._residual(z + e, z_old)
+                    - stepper._residual(z - e, z_old)) / (2.0 * h)
+    dense = jac.toarray()
+    assert np.max(np.abs(dense - fd)) <= 1e-7 * np.max(np.abs(dense))
 
 
 def test_coupled_step_newton_exhaustion_raises():
