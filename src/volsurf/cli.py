@@ -541,7 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter grid from a template")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="runs in parallel on threads; they hold the "
+                        "interpreter lock, so more than 1 is no faster")
     p.set_defaults(func=cmd_sweep)
 
     return parser

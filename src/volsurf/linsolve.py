@@ -3,10 +3,11 @@
 One path: a sparse LU factorization (SuperLU, default column ordering) of the
 assembled matrix. `factor` returns it for reuse across right-hand sides, so a
 caller whose matrix is fixed factors once and solves many times; `solve` is
-the one-shot form. `solve` verifies the true residual, and callers that reuse
-a factorization do so through `check_residual`, so a singular or
-near-singular system raises instead of returning garbage. Identical inputs
-give bit-identical outputs.
+the one-shot form. `solve` verifies the true residual, and the linear
+steppers that reuse a factorization do so through `check_residual` (Newton
+checks its own nonlinear residual instead), so a singular or near-singular
+system raises instead of returning garbage. Identical inputs give
+bit-identical outputs.
 """
 
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ def assemble_shifted(op: sp.spmatrix, diag_shift: np.ndarray,
 def factor(a: sp.spmatrix):
     """Sparse LU of the square matrix a; its .solve(rhs) takes rhs of shape
     (n,) or (n, m). A CSC matrix is factored without a copy. Raises
-    LinearSolverError if SuperLU finds a exactly singular."""
+    LinearSolverError if SuperLU finds it exactly singular."""
     try:
         return spla.splu(sp.csc_matrix(a))
     except RuntimeError as exc:

@@ -17,6 +17,7 @@ with general equal rates the dissipation stays a valid nonnegative
 diagnostic but matches -dE/dt only after that normalization.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ class ModelParams:
 
 @dataclass
 class State:
-    """Bulk and surface fields at one instant. Entries must be nonnegative."""
+    """Bulk and surface fields at one instant. Entries must be finite and
+    nonnegative."""
 
     u: np.ndarray
     v: np.ndarray
@@ -87,6 +89,8 @@ class State:
         self.v = np.asarray(self.v, dtype=float)
         if self.u.ndim != 1 or self.v.ndim != 1:
             raise ValueError("state fields must be one-dimensional arrays")
+        if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
+            raise ValueError("state fields must be finite")
         if np.any(self.u < 0) or np.any(self.v < 0):
             raise ValueError("state fields must be nonnegative")
         if self.time < 0:
@@ -188,7 +192,9 @@ def equilibrium_from_measures(params: ModelParams, omega_measure: float,
 
     Solves k_u u^alpha = k_v v^beta together with
     beta*|Omega|*u + alpha*|Gamma|*v = M by bisection on u in
-    (0, M/(beta*|Omega|)). The bracket is shrunk until both the u and the
+    (0, M/(beta*|Omega|)), on the sign of the logarithm of that balance,
+    which rises monotonically in u and cannot overflow for large exponents
+    or data. The bracket is shrunk until both the u and the
     implied v intervals are resolved to 1e-13 relative width (or to float
     resolution), so both residuals come out near machine precision.
     """
@@ -202,11 +208,16 @@ def equilibrium_from_measures(params: ModelParams, omega_measure: float,
     def v_of(u):
         return (total_mass - bo * u) / ag
 
+    log_k = math.log(params.k_u) - math.log(params.k_v)
+
     def phi(u):
-        return params.k_u * u ** params.alpha - params.k_v * v_of(u) ** params.beta
+        v = v_of(u)
+        if v <= 0.0:  # rounding next to hi, where the balance is positive
+            return 1.0
+        return params.alpha * math.log(u) - params.beta * math.log(v) + log_k
 
     lo, hi = 0.0, total_mass / bo
-    # phi(lo) < 0 < phi(hi): root strictly inside
+    # phi < 0 near lo and > 0 near hi: root strictly inside
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -13,9 +13,10 @@ _weighted_diffusion. The linear substeps (frozen sources) have a fixed,
 block-diagonal matrix, so _LinearStepper factors it once and then solves per
 step, several trajectories at a time; linear_bulk_step and
 linear_surface_step are independent one-shot references. The fully coupled
-step runs Newton on z with exact power-law partials, written into a CSC
-Jacobian pattern built once, and a fresh sparse LU per iteration. All
-factorizations go through linsolve.factor.
+step runs Newton on z with exact power-law partials: diag(M/dt) - D is
+factored once per stepper, the rank-n_Gamma reaction part of the Jacobian
+goes through a dense capacitance solve per iteration (Woodbury; Hager, SIAM
+Review 1989). All factorizations go through linsolve.factor.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
-from .errors import StepFailure
+from .errors import LinearSolverError, StepFailure
 from .grid import GridGeometry, GridKind
 from .model import DERIVATIVE_FLOOR, ModelParams, State
 
@@ -211,10 +212,10 @@ class _CoupledStepper:
     """Reusable backward-Euler Newton stepper on z = (u, v).
 
     The residual is (M/dt)(z - z_old) - D z plus the reaction at the trace
-    entries. The CSC pattern of diag(M/dt) - D, with explicit zeros at the
-    four reaction slots of each patch (trace cell and patch, in both roles),
-    is built once; each Newton iteration adds the reaction partials to a
-    copy of the constant data.
+    entries, so the Jacobian is K + A B^T: K = diag(M/dt) - D, column j of A
+    is w_Gamma,j (alpha e_tc(j) - beta e_patch(j)), column j of B holds the
+    partials of the rate r_j of patch j. K is factored and KA = K^{-1} A
+    solved once; J^{-1} x = y - KA c with y = K^{-1} x, (I + B^T KA) c = B^T y.
     """
 
     def __init__(self, geom: GridGeometry, params: ModelParams, cfg: StepConfig):
@@ -223,25 +224,15 @@ class _CoupledStepper:
         self.params = params
         self.cfg = cfg
         n_u, n_g = geom.n_omega, geom.n_gamma
-        n = n_u + n_g
         self.n_u = n_u
         self.mass = np.concatenate([geom.omega_weights, geom.gamma_weights])
         self.diffusion = _weighted_diffusion(geom, params)
-
-        base = (sp.diags(self.mass / cfg.dt) - self.diffusion).tocoo()
-        tc = geom.trace_cells
-        patch = n_u + np.arange(n_g)
-        rows = np.concatenate([tc, tc, patch, patch])
-        cols = np.concatenate([tc, patch, tc, patch])
-        # COO -> CSC sums duplicates and keeps the explicit zeros
-        self.jac = sp.csc_matrix(
-            (np.concatenate([base.data, np.zeros(4 * n_g)]),
-             (np.concatenate([base.row, rows]),
-              np.concatenate([base.col, cols]))), shape=(n, n))
-        col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.jac.indptr))
-        keys = col_of * n + self.jac.indices
-        self.slots = np.searchsorted(keys, cols.astype(np.int64) * n + rows)
-        self.base_data = self.jac.data.copy()
+        self.lu = linsolve.factor(sp.diags(self.mass / cfg.dt) - self.diffusion)
+        patches = np.arange(n_g)
+        a = np.zeros((n_u + n_g, n_g))
+        a[geom.trace_cells, patches] = params.alpha * geom.gamma_weights
+        a[n_u + patches, patches] = -params.beta * geom.gamma_weights
+        self.ka = self.lu.solve(a)
 
     def _residual(self, z, z_old):
         p = self.params
@@ -255,20 +246,28 @@ class _CoupledStepper:
         res[self.n_u:] -= wg * p.beta * r
         return res
 
-    def _jacobian(self, z):
+    def _partials(self, z):
+        """(dr/du, -dr/dv) per patch, arguments floored at DERIVATIVE_FLOOR."""
         p = self.params
-        geom = self.geom
-        wg = geom.gamma_weights
-        ut = np.maximum(z[geom.trace_cells], DERIVATIVE_FLOOR)
+        ut = np.maximum(z[self.geom.trace_cells], DERIVATIVE_FLOOR)
         vc = np.maximum(z[self.n_u:], DERIVATIVE_FLOOR)
-        dpu = p.k_u * p.alpha * ut ** (p.alpha - 1.0)
-        dpv = p.k_v * p.beta * vc ** (p.beta - 1.0)
-        data = self.base_data.copy()
-        np.add.at(data, self.slots,
-                  np.concatenate([wg * p.alpha * dpu, -wg * p.alpha * dpv,
-                                  -wg * p.beta * dpu, wg * p.beta * dpv]))
-        self.jac.data = data
-        return self.jac
+        return (p.k_u * p.alpha * ut ** (p.alpha - 1.0),
+                p.k_v * p.beta * vc ** (p.beta - 1.0))
+
+    def _newton_update(self, z, res):
+        """-J(z)^{-1} res through the capacitance system."""
+        tc, n_u = self.geom.trace_cells, self.n_u
+        dpu, dpv = self._partials(z)
+        y = self.lu.solve(-res)
+        cap = dpu[:, None] * self.ka[tc] - dpv[:, None] * self.ka[n_u:]
+        cap[np.diag_indices_from(cap)] += 1.0
+        try:
+            c = np.linalg.solve(cap, dpu * y[tc] - dpv * y[n_u:])
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolverError("Newton capacitance system is singular") from exc
+        if not np.all(np.isfinite(c)):
+            raise LinearSolverError("Newton capacitance solve is not finite")
+        return y - self.ka @ c
 
     def step(self, state: State) -> State:
         cfg = self.cfg
@@ -289,9 +288,7 @@ class _CoupledStepper:
                     f"Newton did not reach tolerance in {cfg.newton_max_iter} "
                     f"iterations at t={state.time:g} (reduce dt)",
                     residual_history=history, time=state.time)
-            jac = self._jacobian(z)
-            lu = linsolve.factor(jac)
-            z = z + lu.solve(-res)
+            z = z + self._newton_update(z, res)
             res = self._residual(z, z_old)
             res_norm = float(np.linalg.norm(res))
             history.append(res_norm)

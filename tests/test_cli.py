@@ -233,6 +233,20 @@ def test_equilibrium_prints_symmetric_values(tmp_path, capsys):
     assert float(lines["ckp_constant"]) == pytest.approx(1.0 / 24.0)
 
 
+def test_equilibrium_with_large_exponent_and_data(tmp_path, capsys):
+    # u**alpha and v**beta overflow here; the balance is solved in log form
+    path = write_config(tmp_path, base_config(
+        params={"alpha": 100, "beta": 1.0, "delta_u": 1.0},
+        initial={"kind": "constant", "u0": 1.0, "v0": 100}))
+    assert main(["equilibrium", path]) == 0
+    lines = dict(line.split("=") for line in
+                 capsys.readouterr().out.strip().splitlines())
+    u_inf, v_inf = float(lines["u_inf"]), float(lines["v_inf"])
+    # detailed balance u^100 = v and the mass 1 + 100*2*100
+    assert 100.0 * np.log(u_inf) == pytest.approx(np.log(v_inf), rel=1e-12)
+    assert u_inf + 200.0 * v_inf == pytest.approx(20001.0, rel=1e-13)
+
+
 # ------------------------------------------------------------------- simulate
 
 

@@ -45,6 +45,10 @@ def test_state_validation():
         State(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         State(np.zeros(2), np.zeros(2), time=-0.5)
+    with pytest.raises(ValueError, match="finite"):
+        State(np.array([np.nan, 1.0]), np.array([np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        State(np.ones(2), np.array([-np.inf]))
     c = s.copy()
     c.u[0] = 9.0
     assert s.u[0] == 1.0

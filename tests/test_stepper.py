@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from volsurf.errors import StepFailure
-from volsurf.grid import build_interval, build_periodic_strip
+from volsurf.errors import LinearSolverError, StepFailure
+from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
 from volsurf.model import (ModelParams, State, entropy, equilibrium_state,
                            mass, solve_equilibrium)
 from volsurf.stepper import (StepConfig, _CoupledStepper, coupled_step,
@@ -216,10 +218,28 @@ def test_integrate_first_order_in_dt():
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.5)
 
 
+def assembled_jacobian(stepper, z):
+    """K + A B^T of the coupled stepper as one sparse matrix, built from the
+    formulas rather than through the capacitance solve: K = diag(M/dt) - D,
+    A the fixed reaction weights, B the rate partials at z."""
+    g, p = stepper.geom, stepper.params
+    n_u, n_g = g.n_omega, g.n_gamma
+    rows = np.concatenate([g.trace_cells, n_u + np.arange(n_g)])
+    cols = np.tile(np.arange(n_g), 2)
+    wg = g.gamma_weights
+    dpu, dpv = stepper._partials(z)
+    a = sp.csc_matrix((np.concatenate([p.alpha * wg, -p.beta * wg]),
+                       (rows, cols)), shape=(n_u + n_g, n_g))
+    b = sp.csc_matrix((np.concatenate([dpu, -dpv]), (rows, cols)),
+                      shape=(n_u + n_g, n_g))
+    k = sp.diags(stepper.mass / stepper.cfg.dt) - stepper.diffusion
+    return sp.csc_matrix(k + a @ b.T)
+
+
 def test_newton_jacobian_matches_finite_differences():
-    # surface diffusion and unequal exponents exercise every block of the
-    # CSC pattern: diffusion, the four reaction slots and their overlap with
-    # the mass diagonal
+    # surface diffusion and unequal exponents exercise every part of
+    # K + A B^T: diffusion, the reaction coupling and its overlap with the
+    # mass diagonal
     g = build_periodic_strip(6, 3, 2.0, 1.0)
     p = ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
                     k_u=1.3, k_v=0.8)
@@ -228,17 +248,55 @@ def test_newton_jacobian_matches_finite_differences():
     n = g.n_omega + g.n_gamma
     z = rng.uniform(0.5, 2.0, n)
     z_old = rng.uniform(0.5, 2.0, n)
-    jac = stepper._jacobian(z)
-    assert jac.format == "csc"
+    jac = assembled_jacobian(stepper, z)
     h = 1e-6
+    # the action of the operator on each unit vector, against central
+    # differences of the residual in that direction
     fd = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
         fd[:, j] = (stepper._residual(z + e, z_old)
                     - stepper._residual(z - e, z_old)) / (2.0 * h)
-    dense = jac.toarray()
-    assert np.max(np.abs(dense - fd)) <= 1e-7 * np.max(np.abs(dense))
+    action = jac @ np.eye(n)
+    assert np.max(np.abs(action - fd)) <= 1e-7 * np.max(np.abs(action))
+
+
+@pytest.mark.parametrize("geom, params", [
+    (build_periodic_strip(16, 8, 2.0, 1.0),
+     ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
+                 k_u=1.3, k_v=0.8)),
+    (build_polar_disk(8, 16, 1.0),
+     ModelParams(alpha=3.0, beta=1.0, delta_u=1.0, delta_v=1.0, k_u=5.0)),
+    (build_interval(12, 1.0),
+     ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0, k_v=0.2)),
+], ids=["strip", "disk", "interval"])
+def test_capacitance_update_matches_sparse_solve(geom, params):
+    stepper = _CoupledStepper(geom, params, StepConfig(dt=0.1))
+    rng = np.random.default_rng(7)
+    n = geom.n_omega + geom.n_gamma
+    z = rng.uniform(0.2, 2.0, n)
+    res = stepper._residual(z, rng.uniform(0.2, 2.0, n))
+    expected = spla.spsolve(assembled_jacobian(stepper, z), -res)
+    got = stepper._newton_update(z, res)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("failure", ["nonfinite", "singular"])
+def test_capacitance_failure_raises_linear_solver_error(monkeypatch, failure):
+    g = build_interval(4, 1.0)
+    stepper = _CoupledStepper(g, interval_params(alpha=2.0),
+                              StepConfig(dt=0.1))
+
+    def broken_solve(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", broken_solve)
+    s = State(np.full(g.n_omega, 2.0), np.full(g.n_gamma, 0.5))
+    with pytest.raises(LinearSolverError):
+        stepper.step(s)
 
 
 def test_coupled_step_newton_exhaustion_raises():
