@@ -82,13 +82,13 @@ def record(state0: State, geom: GridGeometry, params: ModelParams,
     m0 = mass(state0, geom, params)
     eq = equilibrium if equilibrium is not None else solve_equilibrium(
         params, geom, m0)
-    e_eq = equilibrium_entropy(eq, geom)
+    e_eq = equilibrium_entropy(eq, geom, params)
 
     rows = {name: [] for name in ("t", "m", "e", "d", "i1", "i2", "l1u", "l1v")}
     states = []
 
     def push(state):
-        e = entropy(state, geom)
+        e = entropy(state, geom, params)
         i1, i2 = entropy_decomposition(state, geom, params, eq)
         rows["t"].append(state.time)
         rows["m"].append(mass(state, geom, params))

@@ -11,10 +11,14 @@ so beta*F + alpha*G = 0 pointwise and the weighted total
 
     M = beta * integral(u over bulk) + alpha * integral(v over surface)
 
-is conserved. The entropy functional and its dissipation follow the
-normalized-rate convention (k_u = k_v = 1, reachable by rescaling);
-with general equal rates the dissipation stays a valid nonnegative
-diagnostic but matches -dE/dt only after that normalization.
+is conserved. The entropy carries the chemical potentials
+mu_u = log(k_u)/alpha and mu_v = log(k_v)/beta, so that for any rate
+constants -dE/dt is the dissipation D, whose reaction term is
+(k_u u^alpha - k_v v^beta) log(k_u u^alpha / (k_v v^beta)) >= 0. With
+c = k_u u_inf^alpha = k_v v_inf^beta the linear part of E - E_inf is
+(log c / (alpha beta)) (beta <u - u_inf> + alpha <v - v_inf>), which mass
+conservation makes 0; the relative entropy and its I1/I2 split therefore
+do not depend on the rates.
 """
 
 import math
@@ -249,17 +253,21 @@ def equilibrium_state(eq: Equilibrium, geom: GridGeometry, time: float = 0.0) ->
                  np.full(geom.n_gamma, eq.v_inf), time)
 
 
-def entropy(state: State, geom: GridGeometry) -> float:
-    """Free energy E = <u(log u - 1)> + <v(log v - 1)>, with 0*log 0 = 0."""
+def entropy(state: State, geom: GridGeometry, params: ModelParams) -> float:
+    """Free energy E = <u(log u - 1 + mu_u)> + <v(log v - 1 + mu_v)>, with
+    mu_u = log(k_u)/alpha, mu_v = log(k_v)/beta and 0*log 0 = 0."""
     if np.any(state.u < 0) or np.any(state.v < 0):
         raise ValueError("entropy requires nonnegative fields")
-    eu = geom.omega_weights @ (xlogy(state.u, state.u) - state.u)
-    ev = geom.gamma_weights @ (xlogy(state.v, state.v) - state.v)
+    mu_u = math.log(params.k_u) / params.alpha
+    mu_v = math.log(params.k_v) / params.beta
+    eu = geom.omega_weights @ (xlogy(state.u, state.u) - state.u + mu_u * state.u)
+    ev = geom.gamma_weights @ (xlogy(state.v, state.v) - state.v + mu_v * state.v)
     return float(eu + ev)
 
 
-def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry) -> float:
-    return entropy(equilibrium_state(eq, geom), geom)
+def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry,
+                        params: ModelParams) -> float:
+    return entropy(equilibrium_state(eq, geom), geom, params)
 
 
 def _face_quadrature(values: np.ndarray, faces: np.ndarray,
@@ -285,7 +293,8 @@ def _face_quadrature(values: np.ndarray, faces: np.ndarray,
 def dissipation(state: State, geom: GridGeometry, params: ModelParams,
                 floor: float = 1e-30) -> float:
     """Entropy dissipation: Fisher-type gradient terms plus the boundary
-    reaction term (v^beta - u^alpha) log(v^beta / u^alpha) >= 0.
+    reaction term (k_v v^beta - k_u u^alpha) log(k_v v^beta / (k_u u^alpha))
+    >= 0.
 
     floor > 0 bounds log arguments and denominators away from zero, making
     the result a finite lower bound of the exact functional. floor = 0
@@ -308,8 +317,8 @@ def dissipation(state: State, geom: GridGeometry, params: ModelParams,
             state.v, geom.gamma_faces, geom.gamma_face_coeffs, eff_floor)
 
     ut = trace(state.u, geom)
-    a = state.v ** params.beta
-    b = ut ** params.alpha
+    a = params.k_v * state.v ** params.beta
+    b = params.k_u * ut ** params.alpha
     log_ratio = np.log(np.maximum(a, eff_floor) / np.maximum(b, eff_floor))
     integrand = np.where(a == b, 0.0, (a - b) * log_ratio)
     d += float(geom.gamma_weights @ integrand)
@@ -327,8 +336,8 @@ def _dissipation_unfloored(state, geom, params):
         if np.any((a != b) & ((a == 0) | (b == 0))):
             return np.inf
     ut = trace(state.u, geom)
-    a = state.v ** params.beta
-    b = ut ** params.alpha
+    a = params.k_v * state.v ** params.beta
+    b = params.k_u * ut ** params.alpha
     if np.any((a != b) & ((a == 0) | (b == 0))):
         return np.inf
     return dissipation(state, geom, params, floor=np.finfo(float).tiny)

@@ -1,11 +1,14 @@
+import concurrent.futures
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import volsurf.cli as cli
 import volsurf.diagnostics as diagnostics
 from volsurf.cli import SUITES, main
 
@@ -374,6 +377,21 @@ def test_verify_suites_pass_on_small_interval_run(tmp_path, suite):
     assert verdict["passed"] is True
 
 
+@pytest.mark.parametrize("suite", ["entropy", "ckp"])
+def test_verify_entropy_suites_pass_with_unequal_rate_constants(tmp_path, suite):
+    cfg = {
+        "geometry": {"kind": "interval", "n_cells": 20, "length": 1.0},
+        "params": {"alpha": 2, "beta": 1, "delta_u": 1.0, "delta_v": 0.0,
+                   "k_u": 5, "k_v": 0.2},
+        "initial": {"kind": "cosine", "u0": 1.0, "v0": 0.5, "amplitude": 0.4},
+        "step": {"dt": 0.01},
+        "t_end": 2.0,
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--suite", suite,
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_verify_degenerate_suite_on_strip(tmp_path):
     cfg = {
         "geometry": {"kind": "strip", "nx": 8, "ny": 4,
@@ -448,6 +466,118 @@ def test_sweep_is_deterministic_and_parallel_safe(tmp_path):
         assert float(cells[3]) > 0.0      # C0_emp
         assert float(cells[4]) > 0.0      # eed_min
         assert float(cells[5]) >= 0.99    # r_squared
+
+
+def geometry_sweep_spec():
+    strip = {"kind": "strip", "nx": 4, "ny": 2, "width": 1.0, "height": 2.0}
+    disk = {"kind": "disk", "nr": 3, "ntheta": 8, "radius": 1.0}
+    return {
+        "template": {
+            "geometry": strip,
+            "params": {"alpha": 1, "beta": 1, "delta_u": 1.0, "delta_v": 0.5},
+            "initial": {"kind": "cosine", "u0": 1.0, "v0": 0.5,
+                        "amplitude": 0.3},
+            "step": {"dt": 0.05},
+            "t_end": 1.0,
+        },
+        "grid": {"geometry": [strip, disk], "params.alpha": [1, 2]},
+    }
+
+
+def test_sweep_over_geometries_is_byte_identical_across_jobs(tmp_path):
+    path = write_config(tmp_path, geometry_sweep_spec(), name="sweep.json")
+    for jobs in ("1", "2"):
+        assert main(["sweep", path, "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    serial = (tmp_path / "1" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "2" / "sweep.csv").read_bytes()
+    rows = serial.decode().splitlines()
+    assert len(rows) == 5
+    assert '"kind": "disk"' in rows[3] and '"kind": "strip"' in rows[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    path = write_config(tmp_path, sweep_spec(), name="sweep.json")
+    assert main(["sweep", path, "--out", str(tmp_path), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+class RecordingExecutor:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_sweep_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    spec = sweep_spec()
+    spec["grid"] = {"params.alpha": [1.0, 2.0]}
+    path = write_config(tmp_path, spec, name="sweep.json")
+    assert main(["sweep", path, "--out", str(tmp_path), "--jobs", "64"]) == 0
+    assert RecordingExecutor.sizes == [2]
+    # a single run needs no pool at all
+    spec["grid"] = {"params.alpha": [2.0]}
+    path = write_config(tmp_path, spec, name="sweep.json")
+    assert main(["sweep", path, "--out", str(tmp_path), "--jobs", "4"]) == 0
+    assert RecordingExecutor.sizes == [2]
+
+
+def sweep_errors(capsys, path, out):
+    """Exit code and stderr of the sweep at --jobs 1 and at --jobs 2."""
+    results = []
+    for jobs in ("1", "2"):
+        rc = main(["sweep", path, "--out", str(out), "--jobs", jobs])
+        results.append((rc, capsys.readouterr().err))
+    return results
+
+
+def test_sweep_bad_grid_value_fails_alike_in_workers(tmp_path, capsys):
+    bad = {"kind": "strip", "nx": 4, "ny": 2, "width": 1.0, "height": -2.0}
+    spec = geometry_sweep_spec()
+    spec["grid"]["geometry"].append(bad)
+    path = write_config(tmp_path, spec, name="sweep.json")
+    serial, pooled = sweep_errors(capsys, path, tmp_path)
+    assert serial == pooled
+    assert serial[0] == 2
+    assert serial[1].startswith("error: ") and "height" in serial[1]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_step_failure_fails_alike_in_workers(tmp_path, capsys):
+    spec = geometry_sweep_spec()
+    spec["template"]["step"].update(newton_max_iter=1, newton_tol=1e-14)
+    path = write_config(tmp_path, spec, name="sweep.json")
+    serial, pooled = sweep_errors(capsys, path, tmp_path)
+    assert serial == pooled
+    assert serial[0] == 3
+    assert serial[1].startswith("error: Newton")
+    assert "Traceback" not in serial[1]
+
+
+def _die(template, keys, combo):
+    os._exit(1)
+
+
+def test_sweep_dead_worker_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_run", _die)
+    path = write_config(tmp_path, geometry_sweep_spec(), name="sweep.json")
+    assert main(["sweep", path, "--out", str(tmp_path), "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rejects_unknown_grid_key(tmp_path, capsys):

@@ -286,15 +286,26 @@ def test_equilibrium_residuals_seeded():
 
 def test_entropy_examples():
     g = build_interval(4, 1.0)
+    p = params_for()
     ones = State(np.ones(g.n_omega), np.ones(g.n_gamma))
-    assert entropy(ones, g) == pytest.approx(-3.0)
+    assert entropy(ones, g, p) == pytest.approx(-3.0)
 
     e = math.e
     es = State(np.full(g.n_omega, e), np.full(g.n_gamma, e))
-    assert entropy(es, g) == pytest.approx(0.0, abs=1e-12)
+    assert entropy(es, g, p) == pytest.approx(0.0, abs=1e-12)
 
     zero = State(np.zeros(g.n_omega), np.zeros(g.n_gamma))
-    assert entropy(zero, g) == 0.0
+    assert entropy(zero, g, p) == 0.0
+
+
+def test_entropy_chemical_potentials_example():
+    # mu_u = log(e^2)/2 = 1 and mu_v = log(e^-1)/1 = -1: with u = v = 1 the
+    # bulk (|Omega| = 1) contributes 1*(0 - 1 + 1) = 0 and the two boundary
+    # points (|Gamma| = 2) contribute 2*(0 - 1 - 1) = -4
+    g = build_interval(4, 1.0)
+    p = params_for(alpha=2.0, beta=1.0, k_u=math.exp(2.0), k_v=math.exp(-1.0))
+    ones = State(np.ones(g.n_omega), np.ones(g.n_gamma))
+    assert entropy(ones, g, p) == pytest.approx(-4.0, rel=1e-12)
 
 
 def test_entropy_rejects_mutated_negative_state():
@@ -302,14 +313,16 @@ def test_entropy_rejects_mutated_negative_state():
     s = State(np.ones(g.n_omega), np.ones(g.n_gamma))
     s.u[1] = -0.5
     with pytest.raises(ValueError):
-        entropy(s, g)
+        entropy(s, g, params_for())
 
 
 def test_equilibrium_entropy_matches_constant_state():
     g = build_interval(5, 1.0)
-    eq = solve_equilibrium(params_for(), g, 3.0)
-    assert equilibrium_entropy(eq, g) == pytest.approx(
-        entropy(equilibrium_state(eq, g), g))
+    for k_u, k_v in ((1.0, 1.0), (5.0, 0.2)):
+        p = params_for(alpha=2.0, k_u=k_u, k_v=k_v)
+        eq = solve_equilibrium(p, g, 3.0)
+        assert equilibrium_entropy(eq, g, p) == pytest.approx(
+            entropy(equilibrium_state(eq, g), g, p))
 
 
 # ---------------------------------------------------------------- dissipation
@@ -330,6 +343,18 @@ def test_dissipation_reaction_term_example():
     p = params_for()
     s = State(np.full(g.n_omega, 4.0), np.ones(g.n_gamma))
     assert dissipation(s, g, p) == pytest.approx(6.0 * math.log(4.0), rel=1e-12)
+
+
+def test_dissipation_reaction_term_with_rate_constants():
+    # u=4, v=1: k_u=2, k_v=0.5 give rates 8 and 0.5, so the boundary term is
+    # 2*(8 - 0.5)*log(16); k_u=0.5, k_v=2 balance the same state at 2 = 2
+    g = build_interval(5, 1.0)
+    s = State(np.full(g.n_omega, 4.0), np.ones(g.n_gamma))
+    assert dissipation(s, g, params_for(k_u=2.0, k_v=0.5)) == pytest.approx(
+        15.0 * math.log(16.0), rel=1e-12)
+    assert dissipation(s, g, params_for(k_u=0.5, k_v=2.0)) == 0.0
+    assert dissipation(s, g, params_for(k_u=0.5, k_v=2.0),
+                       floor=0.0) == 0.0
 
 
 def test_dissipation_surface_term_follows_delta_v():
@@ -368,6 +393,7 @@ def test_dissipation_nonnegative(seed):
     g = build_periodic_strip(6, 3, 1.0, 1.0)
     s = State(rng.uniform(0.0, 3.0, g.n_omega), rng.uniform(0.0, 3.0, g.n_gamma))
     p = params_for(alpha=rng.uniform(1.0, 3.0), beta=rng.uniform(1.0, 3.0),
+                   k_u=rng.uniform(0.1, 10.0), k_v=rng.uniform(0.1, 10.0),
                    delta_v=rng.choice([0.0, 1.0]))
     assert dissipation(s, g, p) >= 0.0
 
@@ -422,14 +448,17 @@ def test_decomposition_rejects_mass_mismatch():
 def test_decomposition_sums_to_relative_entropy(seed):
     rng = np.random.default_rng(seed)
     g = build_periodic_strip(6, 3, 1.0, 1.0)
-    p = params_for(alpha=rng.uniform(1.0, 3.0), beta=rng.uniform(1.0, 3.0))
+    # the rate constants enter E only through terms linear in the fields,
+    # which cancel at equal mass, so I1 + I2 matches for any k_u, k_v
+    p = params_for(alpha=rng.uniform(1.0, 3.0), beta=rng.uniform(1.0, 3.0),
+                   k_u=rng.uniform(0.1, 10.0), k_v=rng.uniform(0.1, 10.0))
     s = State(rng.uniform(0.1, 3.0, g.n_omega), rng.uniform(0.1, 3.0, g.n_gamma))
     m = mass(s, g, p)
     eq = solve_equilibrium(p, g, m)
     i1, i2 = entropy_decomposition(s, g, p, eq)
     assert i1 >= -1e-12
     assert i2 >= -1e-12
-    e_rel = entropy(s, g) - equilibrium_entropy(eq, g)
+    e_rel = entropy(s, g, p) - equilibrium_entropy(eq, g, p)
     scale = max(abs(e_rel), 1.0)
     assert abs((i1 + i2) - e_rel) <= 1e-10 * scale
 
@@ -444,16 +473,17 @@ def test_ckp_constant_examples():
 
 def test_ckp_bound_holds_for_random_states():
     # the inequality itself, checked on explicit states rather than on
-    # trajectories: E - E_eq >= c*(||u - u_inf||_1^2 + ||v - v_inf||_1^2)
+    # trajectories: E - E_eq >= c*(||u - u_inf||_1^2 + ||v - v_inf||_1^2),
+    # with and without rate constants
     rng = np.random.default_rng(7)
     g = build_interval(8, 1.0)
-    p = params_for()
-    for _ in range(25):
+    for p in [params_for()] * 25 + [params_for(alpha=2.0, k_u=5.0,
+                                                k_v=0.2)] * 25:
         s = State(rng.uniform(0.05, 4.0, g.n_omega),
                   rng.uniform(0.05, 4.0, g.n_gamma))
         m = mass(s, g, p)
         eq = solve_equilibrium(p, g, m)
-        e_rel = entropy(s, g) - equilibrium_entropy(eq, g)
+        e_rel = entropy(s, g, p) - equilibrium_entropy(eq, g, p)
         l1u = float(g.omega_weights @ np.abs(s.u - eq.u_inf))
         l1v = float(g.gamma_weights @ np.abs(s.v - eq.v_inf))
         c = ckp_constant(p, m)

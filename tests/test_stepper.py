@@ -350,14 +350,15 @@ def test_integrate_observer_times_are_uniform():
 
 def test_integrate_entropy_sequence_nonincreasing():
     g = build_periodic_strip(8, 4, 1.0, 1.0)
-    p = ModelParams(alpha=1.0, beta=2.0, delta_u=1.0, delta_v=1.0)
     s0 = State(1.0 + 0.5 * np.cos(2 * np.pi * g.omega_unit_coord),
                np.full(g.n_gamma, 0.5))
-    values = [entropy(s0, g)]
-    integrate(s0, g, p, StepConfig(dt=0.01), 1.0,
-              observer=lambda s: values.append(entropy(s, g)))
-    diffs = np.diff(values)
-    assert np.all(diffs <= 1e-9)
+    for k_u, k_v in ((1.0, 1.0), (5.0, 0.2)):
+        p = ModelParams(alpha=1.0, beta=2.0, delta_u=1.0, delta_v=1.0,
+                        k_u=k_u, k_v=k_v)
+        values = [entropy(s0, g, p)]
+        integrate(s0, g, p, StepConfig(dt=0.01), 1.0,
+                  observer=lambda s: values.append(entropy(s, g, p)))
+        assert np.all(np.diff(values) <= 1e-9)
 
 
 def test_integrate_is_deterministic():
