@@ -8,7 +8,7 @@ types signal numerical failure and carry enough state to diagnose it.
 
 class DegenerateInputError(ValueError):
     """Inputs are structurally degenerate (e.g. identically zero data where a
-    positive bound is required)."""
+    positive bound is required, or a bound beyond the float range)."""
 
 
 class LinearSolverError(RuntimeError):

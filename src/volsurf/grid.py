@@ -5,7 +5,9 @@ boundary patches, a trace map linking boundary patches to their adjacent bulk
 cells, and divergence-form Laplacians for both. The Laplacians are assembled
 from explicit face lists (two-point flux), so measure-weighted symmetry and
 zero row sums hold by construction; the same face lists feed the entropy
-dissipation quadratures.
+dissipation quadratures. Each builder describes only its primary mesh; one
+constructor derives the trace factors, Laplacians and measures from it and
+rejects sizes that leave the float range.
 
 Conventions:
     - Bulk Laplacian rows discretize the Laplacian with zero-flux outer
@@ -21,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,8 +87,6 @@ def _laplacian_from_faces(n: int, weights: np.ndarray, faces: np.ndarray,
                           coeffs: np.ndarray) -> sp.csr_matrix:
     """Divergence-form Laplacian: L = diag(1/w) K with K the symmetric flux
     matrix built from two-point faces. Empty face list gives the zero matrix."""
-    if len(faces) == 0:
-        return sp.csr_matrix((n, n))
     i = faces[:, 0]
     j = faces[:, 1]
     rows = np.concatenate([i, j, i, j])
@@ -96,6 +97,63 @@ def _laplacian_from_faces(n: int, weights: np.ndarray, faces: np.ndarray,
     return sp.csr_matrix(lap)
 
 
+def _ring_faces(n_rings: int, ring_len: int) -> np.ndarray:
+    """Faces (k, k+1 mod ring_len) of n_rings consecutive periodic rings of
+    ring_len cells each, ring by ring."""
+    k = np.arange(ring_len)
+    base = ring_len * np.arange(n_rings)[:, None]
+    return np.column_stack([(base + k).ravel(),
+                            (base + (k + 1) % ring_len).ravel()])
+
+
+def _chain_faces(n: int, stride: int) -> np.ndarray:
+    """Faces (i, i + stride) of n cells: neighbours one row (or cell) apart."""
+    i = np.arange(n - stride)
+    return np.column_stack([i, i + stride])
+
+
+def _cell_count(*counts: int) -> int:
+    n = math.prod(counts)
+    if n > np.iinfo(np.intp).max:
+        raise ValueError("the grid has more cells than an array can index")
+    return n
+
+
+def _geometry(kind: GridKind, omega_centers, omega_weights, omega_faces,
+              omega_face_coeffs, gamma_centers, gamma_weights, trace_cells,
+              gamma_faces, gamma_face_coeffs, omega_unit_coord,
+              gamma_unit_coord) -> GridGeometry:
+    """The GridGeometry of one primary mesh. Derives the trace factors, both
+    Laplacians and both measures, and rejects a mesh whose sizes left the
+    float range: every volume, measure, transmissibility and trace factor
+    must be finite and positive."""
+    trace_factors = gamma_weights / omega_weights[trace_cells]
+    omega_measure = float(omega_weights.sum())
+    gamma_measure = float(gamma_weights.sum())
+    for name, values in (("cell volumes", omega_weights),
+                         ("patch measures", gamma_weights),
+                         ("bulk transmissibilities", omega_face_coeffs),
+                         ("surface transmissibilities", gamma_face_coeffs),
+                         ("trace factors", trace_factors),
+                         ("measures", np.array([omega_measure, gamma_measure]))):
+        if not np.all((values > 0) & (values < np.inf)):
+            raise ValueError(f"{name} must be finite and positive; the "
+                             f"geometry's sizes are outside the float range")
+    # positional in field order: every argument is named after its field
+    return GridGeometry(
+        kind, omega_centers, omega_weights, gamma_centers, gamma_weights,
+        trace_cells, trace_factors,
+        _laplacian_from_faces(len(omega_weights), omega_weights, omega_faces,
+                              omega_face_coeffs),
+        _laplacian_from_faces(len(gamma_weights), gamma_weights, gamma_faces,
+                              gamma_face_coeffs),
+        omega_faces, omega_face_coeffs, gamma_faces, gamma_face_coeffs,
+        omega_measure, gamma_measure, omega_unit_coord, gamma_unit_coord)
+
+
+# the builders divide in numpy: sizes that leave the float range give inf,
+# nan or 0 there instead of an exception, and _geometry rejects those
+@np.errstate(all="ignore")
 def build_interval(n_cells: int, length: float) -> GridGeometry:
     """Uniform 1D interval [0, length] with two boundary points.
 
@@ -107,44 +165,19 @@ def build_interval(n_cells: int, length: float) -> GridGeometry:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
+    _cell_count(n_cells)
     h = length / n_cells
     centers = (np.arange(n_cells) + 0.5) * h
     weights = np.full(n_cells, h)
-
-    faces = np.column_stack([np.arange(n_cells - 1), np.arange(1, n_cells)])
-    coeffs = np.full(n_cells - 1, 1.0 / h)
-
-    gamma_centers = np.array([[0.0], [length]])
-    gamma_weights = np.array([1.0, 1.0])
-    trace_cells = np.array([0, n_cells - 1])
-    trace_factors = gamma_weights / weights[trace_cells]
-
-    lap = _laplacian_from_faces(n_cells, weights, faces, coeffs)
-    gamma_faces = np.zeros((0, 2), dtype=int)
-    gamma_coeffs = np.zeros(0)
-    surf_lap = sp.csr_matrix((2, 2))
-
-    return GridGeometry(
-        kind=GridKind.INTERVAL_1D,
-        omega_centers=centers[:, None],
-        omega_weights=weights,
-        gamma_centers=gamma_centers,
-        gamma_weights=gamma_weights,
-        trace_cells=trace_cells,
-        trace_factors=trace_factors,
-        bulk_laplacian=lap,
-        surface_laplacian=surf_lap,
-        omega_faces=faces,
-        omega_face_coeffs=coeffs,
-        gamma_faces=gamma_faces,
-        gamma_face_coeffs=gamma_coeffs,
-        omega_measure=float(weights.sum()),
-        gamma_measure=float(gamma_weights.sum()),
-        omega_unit_coord=centers / length,
-        gamma_unit_coord=np.array([0.0, 1.0]),
-    )
+    return _geometry(
+        GridKind.INTERVAL_1D, centers[:, None], weights,
+        _chain_faces(n_cells, 1), np.full(n_cells - 1, 1.0) / h,
+        np.array([[0.0], [length]]), np.array([1.0, 1.0]),
+        np.array([0, n_cells - 1]), np.zeros((0, 2), dtype=int), np.zeros(0),
+        centers / length, np.array([0.0, 1.0]))
 
 
+@np.errstate(all="ignore")
 def build_periodic_strip(nx: int, ny: int, width: float,
                          height: float) -> GridGeometry:
     """x-periodic rectangle with reactive bottom and top edges.
@@ -159,30 +192,16 @@ def build_periodic_strip(nx: int, ny: int, width: float,
         raise ValueError(f"ny must be >= 2, got {ny}")
     if width <= 0 or height <= 0:
         raise ValueError("width and height must be positive")
+    n = _cell_count(nx, ny)
     dx = width / nx
     dy = height / ny
-    n = nx * ny
 
     ix = np.tile(np.arange(nx), ny)
     iy = np.repeat(np.arange(ny), nx)
     centers = np.column_stack([(ix + 0.5) * dx, (iy + 0.5) * dy])
-    weights = np.full(n, dx * dy)
-
-    faces = []
-    coeffs = []
-    # x-direction faces, periodic wrap included once per row
-    for row in range(ny):
-        base = row * nx
-        for k in range(nx):
-            faces.append((base + k, base + (k + 1) % nx))
-            coeffs.append(dy / dx)
-    # y-direction faces, zero flux at the outer edges
-    for row in range(ny - 1):
-        for k in range(nx):
-            faces.append((row * nx + k, (row + 1) * nx + k))
-            coeffs.append(dx / dy)
-    faces = np.array(faces, dtype=int)
-    coeffs = np.array(coeffs)
+    # x faces: one periodic ring per row; y faces: zero flux at the outer edges
+    faces = np.vstack([_ring_faces(ny, nx), _chain_faces(n, nx)])
+    coeffs = np.concatenate([np.full(n, dy) / dx, np.full(n - nx, dx) / dy])
 
     gx = (np.arange(nx) + 0.5) * dx
     gamma_centers = np.vstack([
@@ -191,42 +210,14 @@ def build_periodic_strip(nx: int, ny: int, width: float,
     ])
     gamma_weights = np.full(2 * nx, dx)
     trace_cells = np.concatenate([np.arange(nx), (ny - 1) * nx + np.arange(nx)])
-    trace_factors = gamma_weights / weights[trace_cells]
-
-    gfaces = []
-    gcoeffs = []
-    for ring in range(2):
-        base = ring * nx
-        for k in range(nx):
-            gfaces.append((base + k, base + (k + 1) % nx))
-            gcoeffs.append(1.0 / dx)
-    gfaces = np.array(gfaces, dtype=int)
-    gcoeffs = np.array(gcoeffs)
-
-    lap = _laplacian_from_faces(n, weights, faces, coeffs)
-    surf_lap = _laplacian_from_faces(2 * nx, gamma_weights, gfaces, gcoeffs)
-
-    return GridGeometry(
-        kind=GridKind.PERIODIC_STRIP_2D,
-        omega_centers=centers,
-        omega_weights=weights,
-        gamma_centers=gamma_centers,
-        gamma_weights=gamma_weights,
-        trace_cells=trace_cells,
-        trace_factors=trace_factors,
-        bulk_laplacian=lap,
-        surface_laplacian=surf_lap,
-        omega_faces=faces,
-        omega_face_coeffs=coeffs,
-        gamma_faces=gfaces,
-        gamma_face_coeffs=gcoeffs,
-        omega_measure=float(weights.sum()),
-        gamma_measure=float(gamma_weights.sum()),
-        omega_unit_coord=centers[:, 0] / width,
-        gamma_unit_coord=gamma_centers[:, 0] / width,
-    )
+    return _geometry(
+        GridKind.PERIODIC_STRIP_2D, centers, np.full(n, dx * dy), faces, coeffs,
+        gamma_centers, gamma_weights, trace_cells,
+        _ring_faces(2, nx), 1.0 / gamma_weights,
+        centers[:, 0] / width, gamma_centers[:, 0] / width)
 
 
+@np.errstate(all="ignore")
 def build_polar_disk(nr: int, ntheta: int, radius: float) -> GridGeometry:
     """Uniform polar disk with the outer circle as reactive boundary.
 
@@ -240,9 +231,9 @@ def build_polar_disk(nr: int, ntheta: int, radius: float) -> GridGeometry:
         raise ValueError(f"ntheta must be >= 3, got {ntheta}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    n = _cell_count(nr, ntheta)
     dr = radius / nr
     dth = 2.0 * np.pi / ntheta
-    n = nr * ntheta
 
     ir = np.repeat(np.arange(nr), ntheta)
     ith = np.tile(np.arange(ntheta), nr)
@@ -251,55 +242,19 @@ def build_polar_disk(nr: int, ntheta: int, radius: float) -> GridGeometry:
     centers = np.column_stack([rc * np.cos(thc), rc * np.sin(thc)])
     # exact sector volume: 0.5*(r_out^2 - r_in^2)*dth = rc*dr*dth
     weights = rc * dr * dth
-
-    faces = []
-    coeffs = []
-    for k in range(nr - 1):
-        r_face = (k + 1) * dr
-        for t in range(ntheta):
-            faces.append((k * ntheta + t, (k + 1) * ntheta + t))
-            coeffs.append(r_face * dth / dr)
-    for k in range(nr):
-        r_mid = (k + 0.5) * dr
-        for t in range(ntheta):
-            faces.append((k * ntheta + t, k * ntheta + (t + 1) % ntheta))
-            coeffs.append(dr / (r_mid * dth))
-    faces = np.array(faces, dtype=int)
-    coeffs = np.array(coeffs)
+    # radial faces at r_face = (ir + 1)*dr, then one azimuthal ring per radius
+    faces = np.vstack([_chain_faces(n, ntheta), _ring_faces(nr, ntheta)])
+    r_face = (ir[:n - ntheta] + 1) * dr
+    coeffs = np.concatenate([r_face * dth / dr, dr / (rc * dth)])
 
     gth = (np.arange(ntheta) + 0.5) * dth
     gamma_centers = np.column_stack([radius * np.cos(gth), radius * np.sin(gth)])
     gamma_weights = np.full(ntheta, radius * dth)
-    trace_cells = (nr - 1) * ntheta + np.arange(ntheta)
-    trace_factors = gamma_weights / weights[trace_cells]
-
-    ds = radius * dth
-    gfaces = np.column_stack([np.arange(ntheta),
-                              (np.arange(ntheta) + 1) % ntheta])
-    gcoeffs = np.full(ntheta, 1.0 / ds)
-
-    lap = _laplacian_from_faces(n, weights, faces, coeffs)
-    surf_lap = _laplacian_from_faces(ntheta, gamma_weights, gfaces, gcoeffs)
-
-    return GridGeometry(
-        kind=GridKind.POLAR_DISK_2D,
-        omega_centers=centers,
-        omega_weights=weights,
-        gamma_centers=gamma_centers,
-        gamma_weights=gamma_weights,
-        trace_cells=trace_cells,
-        trace_factors=trace_factors,
-        bulk_laplacian=lap,
-        surface_laplacian=surf_lap,
-        omega_faces=faces,
-        omega_face_coeffs=coeffs,
-        gamma_faces=gfaces,
-        gamma_face_coeffs=gcoeffs,
-        omega_measure=float(weights.sum()),
-        gamma_measure=float(gamma_weights.sum()),
-        omega_unit_coord=thc / (2.0 * np.pi),
-        gamma_unit_coord=gth / (2.0 * np.pi),
-    )
+    return _geometry(
+        GridKind.POLAR_DISK_2D, centers, weights, faces, coeffs,
+        gamma_centers, gamma_weights, (nr - 1) * ntheta + np.arange(ntheta),
+        _ring_faces(1, ntheta), 1.0 / gamma_weights,
+        thc / (2.0 * np.pi), gth / (2.0 * np.pi))
 
 
 def trace(field_u: np.ndarray, geom: GridGeometry) -> np.ndarray:

@@ -53,6 +53,7 @@ __all__ = [
 
 # floor under arguments of power-law derivatives (flat at 0 for exponent < 1)
 DERIVATIVE_FLOOR = 1e-12
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,29 @@ def reaction_G(params: ModelParams, u, v):
                           - params.k_v * v ** params.beta)
 
 
+def _power(x: float, exponent: float) -> float:
+    """x ** exponent in floats, inf where the result overflows."""
+    try:
+        return float(x) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def lipschitz_bounds(params: ModelParams, upper_u: float, upper_v: float):
     """One-sided Lipschitz constants of the reaction on [0,upper_u]x[0,upper_v].
 
     L_u = alpha k_u upper_u^(alpha-1), L_v = beta k_v upper_v^(beta-1), with
-    the convention 0^0 = 1 when an exponent vanishes.
+    the convention 0^0 = 1 when an exponent vanishes. Raises
+    DegenerateInputError when a constant exceeds the float range.
     """
     if upper_u < 0 or upper_v < 0:
         raise ValueError("box bounds must be nonnegative")
-    lu = params.alpha * params.k_u * float(upper_u) ** (params.alpha - 1.0)
-    lv = params.beta * params.k_v * float(upper_v) ** (params.beta - 1.0)
+    lu = params.alpha * params.k_u * _power(upper_u, params.alpha - 1.0)
+    lv = params.beta * params.k_v * _power(upper_v, params.beta - 1.0)
+    if not (math.isfinite(lu) and math.isfinite(lv)):
+        raise DegenerateInputError(
+            f"Lipschitz constants of the reaction on the box "
+            f"[0, {upper_u:g}] x [0, {upper_v:g}] overflow")
     return lu, lv
 
 
@@ -163,9 +177,21 @@ def shifted_g(params: ModelParams, l_v: float, u, v):
     return reaction_G(params, u, v) + params.beta * l_v * np.asarray(v, dtype=float)
 
 
+def _balanced(k_x: float, x: float, e_x: float, k_y: float, e_y: float) -> float:
+    """The y >= 0 with k_y y^e_y = k_x x^e_x. Where the direct powers
+    overflow or underflow for x > 0, y comes from log form instead, as inf
+    if y itself exceeds the float range."""
+    y = (k_x * _power(x, e_x) / k_y) ** (1.0 / e_y)
+    if x > 0 and not 0.0 < y < math.inf:
+        log_y = (math.log(k_x) + e_x * math.log(x) - math.log(k_y)) / e_y
+        y = math.exp(log_y) if log_y < _LOG_FLOAT_MAX else math.inf
+    return y
+
+
 def constant_upper_solution(params: ModelParams, sup_u0: float, sup_v0: float):
     """Smallest constant pair (A, B) dominating the initial data with
-    balanced rates k_u A^alpha = k_v B^beta."""
+    balanced rates k_u A^alpha = k_v B^beta. Raises DegenerateInputError for
+    zero data and when the pair exceeds the float range."""
     if sup_u0 < 0 or sup_v0 < 0:
         raise ValueError("initial suprema must be nonnegative")
     if sup_u0 == 0 and sup_v0 == 0:
@@ -174,13 +200,16 @@ def constant_upper_solution(params: ModelParams, sup_u0: float, sup_v0: float):
     # anchor at whichever supremum forces the larger pair; deciding via the
     # implied partner (not the raw rates) keeps subnormal data from
     # underflowing the comparison, and the max guards the mirror image
+    p = params
     a = float(sup_u0)
-    b = (params.k_u * a ** params.alpha / params.k_v) ** (1.0 / params.beta)
+    b = _balanced(p.k_u, a, p.alpha, p.k_v, p.beta)
     if b < sup_v0:
         b = float(sup_v0)
-        a = max(float(sup_u0),
-                (params.k_v * b ** params.beta / params.k_u)
-                ** (1.0 / params.alpha))
+        a = max(a, _balanced(p.k_v, b, p.beta, p.k_u, p.alpha))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DegenerateInputError(
+            f"no constant upper solution within the float range for initial "
+            f"suprema ({sup_u0:g}, {sup_v0:g})")
     return a, b
 
 

@@ -19,6 +19,7 @@ sweeps of one outer iteration, which both read only iterate k-1, advance
 together as a two-column right-hand side.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,7 @@ DEFAULT_OUTER_TOL = 1e-8
 DEFAULT_K_MAX = 200
 ORDERING_SLACK = 1e-9
 COMPARISON_SLACK = 1e-8
+ORDERINGS = ("lower_nondecreasing", "lower_below_upper", "upper_nonincreasing")
 
 
 @dataclass
@@ -108,6 +110,18 @@ def _sweep_pair(u0, v0, prev_u, prev_v, stepper, params, l_u, l_v):
     return u_traj, v_traj
 
 
+def _ordering_margins(report, k):
+    """Worst signed margins of the three ORDERINGS between the stored
+    iterates k-1 and k (negative is a violation)."""
+    def worst(below_u, below_v, above_u, above_v):
+        return float(min(np.min(above_u - below_u), np.min(above_v - below_v)))
+
+    r = report
+    return (worst(r.lower_u[k - 1], r.lower_v[k - 1], r.lower_u[k], r.lower_v[k]),
+            worst(r.lower_u[k], r.lower_v[k], r.upper_u[k], r.upper_v[k]),
+            worst(r.upper_u[k], r.upper_v[k], r.upper_u[k - 1], r.upper_v[k - 1]))
+
+
 def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
                  cfg: StepConfig, t_horizon: float,
                  outer_tol: float = DEFAULT_OUTER_TOL,
@@ -130,40 +144,17 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
 
     n_steps = max(1, int(round(t_horizon / cfg.dt)))
     h = t_horizon / n_steps
-    cfg_h = StepConfig(dt=h, newton_tol=cfg.newton_tol,
-                       newton_max_iter=cfg.newton_max_iter,
-                       linear_tol=cfg.linear_tol)
     times = state0.time + h * np.arange(n_steps + 1)
-    shape_u = (n_steps + 1, geom.n_omega)
-    shape_v = (n_steps + 1, geom.n_gamma)
 
     sup_u0 = float(np.max(state0.u))
     sup_v0 = float(np.max(state0.v))
-    if sup_u0 == 0.0 and sup_v0 == 0.0:
-        # zero data is stationary and both sequences stay identically zero;
-        # report one confirming sweep instead of raising on the (0,0) bound
-        report = IterationReport(times=times, bounds=(0.0, 0.0),
-                                 outer_tol=outer_tol)
-        for _ in range(2):
-            report.lower_u.append(np.zeros(shape_u))
-            report.lower_v.append(np.zeros(shape_v))
-            report.upper_u.append(np.zeros(shape_u))
-            report.upper_v.append(np.zeros(shape_v))
-            report.gaps.append(0.0)
-        report.violations_lower.append(0.0)
-        report.violations_cross.append(0.0)
-        report.violations_upper.append(0.0)
-        report.k_final = 1
-        report.converged = True
-        solution = [State(np.zeros(geom.n_omega), np.zeros(geom.n_gamma),
-                          float(t)) for t in times]
-        return solution, report
-
-    a_bound, b_bound = constant_upper_solution(params, sup_u0, sup_v0)
+    # zero data is stationary: the box (0, 0) already encloses it
+    a_bound, b_bound = (constant_upper_solution(params, sup_u0, sup_v0)
+                        if sup_u0 or sup_v0 else (0.0, 0.0))
     l_u, l_v = lipschitz_bounds(params, a_bound, b_bound)
 
-    stepper = _LinearStepper(geom, params, cfg_h, params.alpha * l_u,
-                             params.beta * l_v)
+    stepper = _LinearStepper(geom, params, dataclasses.replace(cfg, dt=h),
+                             params.alpha * l_u, params.beta * l_v)
 
     report = IterationReport(times=times, bounds=(a_bound, b_bound),
                              outer_tol=outer_tol)
@@ -185,16 +176,14 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
                                      stepper, params, l_u, l_v)
         lo_u, hi_u = pair_u[:, 0], pair_u[:, 1]
         lo_v, hi_v = pair_v[:, 0], pair_v[:, 1]
-        report.violations_lower.append(float(min(
-            np.min(lo_u - report.lower_u[-1]), np.min(lo_v - report.lower_v[-1]))))
-        report.violations_cross.append(float(min(
-            np.min(hi_u - lo_u), np.min(hi_v - lo_v))))
-        report.violations_upper.append(float(min(
-            np.min(report.upper_u[-1] - hi_u), np.min(report.upper_v[-1] - hi_v))))
         report.lower_u.append(lo_u)
         report.lower_v.append(lo_v)
         report.upper_u.append(hi_u)
         report.upper_v.append(hi_v)
+        margins = _ordering_margins(report, k)
+        report.violations_lower.append(margins[0])
+        report.violations_cross.append(margins[1])
+        report.violations_upper.append(margins[2])
         gap = max(float(np.max(np.abs(hi_u - lo_u))),
                   float(np.max(np.abs(hi_v - lo_v))))
         report.gaps.append(gap)
@@ -229,23 +218,12 @@ def check_sandwich(report: IterationReport, slack: float = None) -> SandwichVerd
     worst = np.inf
     worst_ord = "none"
     worst_k = 0
-    for k in range(len(report.lower_u) - 1):
-        checks = (
-            ("lower_nondecreasing",
-             min(np.min(report.lower_u[k + 1] - report.lower_u[k]),
-                 np.min(report.lower_v[k + 1] - report.lower_v[k]))),
-            ("lower_below_upper",
-             min(np.min(report.upper_u[k + 1] - report.lower_u[k + 1]),
-                 np.min(report.upper_v[k + 1] - report.lower_v[k + 1]))),
-            ("upper_nonincreasing",
-             min(np.min(report.upper_u[k] - report.upper_u[k + 1]),
-                 np.min(report.upper_v[k] - report.upper_v[k + 1]))),
-        )
-        for name, margin in checks:
+    for k in range(1, len(report.lower_u)):
+        for name, margin in zip(ORDERINGS, _ordering_margins(report, k)):
             if margin < worst:
-                worst = float(margin)
+                worst = margin
                 worst_ord = name
-                worst_k = k + 1
+                worst_k = k
     return SandwichVerdict(passed=bool(worst >= -slack),
                            worst_violation=worst,
                            ordering=worst_ord, k=worst_k)

@@ -277,6 +277,10 @@ class _CoupledStepper:
         res = self._residual(z, z_old)
         res_norm = float(np.linalg.norm(res))
         history = [res_norm]
+        if not np.isfinite(res_norm):  # the data overflow the reaction rates
+            raise StepFailure(
+                f"Newton residual is not finite at t={state.time:g}",
+                residual_history=history, time=state.time)
         scale = max(1.0, res_norm)
         target = cfg.newton_tol * scale
 

@@ -1,11 +1,12 @@
 import concurrent.futures
 import copy
 import json
+import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import volsurf.cli as cli
@@ -196,29 +197,76 @@ def _leaf_paths(node, prefix=()):
             yield prefix + (key,)
 
 
+# the extremes reach past float and index ranges and overflow powers
+_NUMBERS = st.one_of(st.integers(-100, 100), st.floats(-100, 100),
+                     st.sampled_from([0, 5e-324, 1e-300, 1e300, 400]))
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
-                          st.integers(-100, 100), st.floats(-100, 100))
+                          _NUMBERS)
 _JSON_VALUES = st.one_of(
     _JSON_SCALARS,
     st.lists(_JSON_SCALARS, max_size=3),
     st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=3))
+_LEAVES = sorted({".".join(path) for cfg in LEAF_CONFIGS.values()
+                  for path in _leaf_paths(cfg)})
+# the explicit oracle's step count grows with the stiffness without bound
+_COMMANDS = ([["equilibrium"], ["simulate"], ["monotone"]]
+             + [["verify", "--suite", suite] for suite in sorted(SUITES)
+                if suite != "oracle"])
+_CELL_COUNTS = {"interval": ("n_cells",), "strip": ("nx", "ny"),
+                "disk": ("nr", "ntheta")}
 
 
-@settings(deadline=None, max_examples=200,
+def _changes(kind):
+    """(dotted leaf, value) pairs for kind's config: one leaf takes any JSON
+    value, up to two more take numbers. Leaves of other kinds' configs add
+    optional keys; their geometry keys are left out, as the schema always
+    rejects them."""
+    own = {".".join(path) for path in _leaf_paths(LEAF_CONFIGS[kind])}
+    leaf = st.sampled_from([leaf for leaf in _LEAVES if leaf in own
+                            or not leaf.startswith("geometry.")])
+    return st.tuples(
+        st.tuples(leaf, _JSON_VALUES),
+        st.lists(st.tuples(leaf, _NUMBERS), max_size=2),
+    ).map(lambda drawn: [drawn[0], *drawn[1]])
+
+
+def _bounded_run(cfg):
+    """False for more than 64 cells, a t_end beyond ten steps or more than
+    100 Newton iterations a step; values that are not numbers there are
+    rejected before any run."""
+    geo, step = cfg["geometry"], cfg["step"]
+    try:
+        cells = math.prod(int(geo[key]) for key in _CELL_COUNTS[geo["kind"]])
+        return (cells <= 64 and cfg["t_end"] <= 10 * step["dt"]
+                and step.get("newton_max_iter", 0) <= 100)
+    except (KeyError, TypeError, ValueError):
+        return True
+
+
+@settings(deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_any_one_leaf_value_runs_or_exits_2(tmp_path, data):
-    # numbers stay within [-100, 100]: larger grids than memory holds and
-    # dt small enough for an astronomical step count are not covered
-    kind = data.draw(st.sampled_from(sorted(LEAF_CONFIGS)))
+@given(case=st.one_of([st.tuples(st.just(kind), _changes(kind))
+                       for kind in sorted(LEAF_CONFIGS)]),
+       command=st.sampled_from(_COMMANDS))
+@example(case=("interval", [("geometry.length", 5e-324)]),
+         command=["equilibrium"])
+@example(case=("strip", [("geometry.ny", 1e300)]), command=["equilibrium"])
+@example(case=("interval", [("params.alpha", 400), ("initial.u0", 10)]),
+         command=["monotone"])
+def test_changed_leaf_values_exit_0_to_3(tmp_path, case, command):
+    # only equilibrium runs on grids larger than memory holds or with an
+    # astronomical step or iteration count; those runs are not covered
+    kind, changes = case
     cfg = copy.deepcopy(LEAF_CONFIGS[kind])
-    *head, last = data.draw(st.sampled_from(list(_leaf_paths(cfg))))
-    node = cfg
-    for key in head:
-        node = node[key]
-    node[last] = data.draw(_JSON_VALUES)
-    path = write_config(tmp_path, cfg)
-    assert main(["equilibrium", path]) in (0, 2)
+    for dotted, value in changes:
+        cli._set_dotted(cfg, dotted, value)
+    if command == ["equilibrium"]:
+        assert main(["equilibrium", write_config(tmp_path, cfg)]) in (0, 2)
+    else:
+        assume(_bounded_run(cfg))
+        path = write_config(tmp_path, cfg)
+        assert main(command + [path, "--out", str(tmp_path / "out")]) in (
+            0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------- equilibrium
@@ -248,6 +296,25 @@ def test_equilibrium_with_large_exponent_and_data(tmp_path, capsys):
     # detailed balance u^100 = v and the mass 1 + 100*2*100
     assert 100.0 * np.log(u_inf) == pytest.approx(np.log(v_inf), rel=1e-12)
     assert u_inf + 200.0 * v_inf == pytest.approx(20001.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("geometry", [
+    {"kind": "interval", "n_cells": 10, "length": 5e-324},
+    {"kind": "interval", "n_cells": 10, "length": 1e-310},
+    {"kind": "strip", "nx": 4, "ny": 3, "width": 5e-324, "height": 1.0},
+    {"kind": "strip", "nx": 4, "ny": 3, "width": 1.0, "height": 5e-324},
+    {"kind": "strip", "nx": 4, "ny": 1e300, "width": 1.0, "height": 1.0},
+    {"kind": "disk", "nr": 4, "ntheta": 6, "radius": 5e-324},
+    {"kind": "disk", "nr": 4, "ntheta": 6, "radius": 1e300},
+], ids=["length-subnormal", "length-tiny", "width-subnormal",
+        "height-subnormal", "ny-huge", "radius-subnormal", "radius-huge"])
+def test_geometry_outside_float_range_is_usage_error(tmp_path, capsys,
+                                                     geometry):
+    # cell volumes, transmissibilities or the cell count leave the float or
+    # index range although every number is finite
+    path = write_config(tmp_path, base_config(geometry=geometry))
+    assert main(["equilibrium", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ------------------------------------------------------------------- simulate
@@ -285,6 +352,20 @@ def test_simulate_t_end_override(tmp_path):
     assert manifest["config"]["t_end"] == 0.04
 
 
+# u0**alpha = 1e400 overflows the reaction rate and the constant upper box
+OVERFLOW_CONFIG = base_config(
+    params={"alpha": 400, "beta": 1, "delta_u": 1.0},
+    initial={"kind": "constant", "u0": 10, "v0": 1})
+
+
+def test_simulate_with_overflowing_reaction_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, OVERFLOW_CONFIG)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert not (tmp_path / "series.csv").exists()
+
+
 # ------------------------------------------------------------------- monotone
 
 
@@ -319,6 +400,15 @@ def test_monotone_nan_outer_tol_is_usage_error(tmp_path, capsys):
                "--outer-tol", "nan"])
     assert rc == 2
     assert "outer_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["monotone"],
+                                     ["verify", "--suite", "sandwich"]])
+def test_upper_box_overflow_is_usage_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, OVERFLOW_CONFIG)
+    assert main(command + [path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "upper solution" in err
 
 
 # --------------------------------------------------------------------- verify

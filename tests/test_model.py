@@ -88,6 +88,21 @@ def test_reaction_vectorizes():
     assert f[2] == pytest.approx(-2.0)
 
 
+
+def test_upper_box_overflow_in_log_form():
+    # 10**400 overflows although the balanced pair (10, 10) fits a float
+    p = params_for(alpha=400.0, beta=400.0)
+    a, b = constant_upper_solution(p, 10.0, 1.0)
+    assert (a, b) == pytest.approx((10.0, 10.0), rel=1e-12)
+    # ... and the mirror image, anchored at the surface supremum
+    a, b = constant_upper_solution(p, 1.0, 10.0)
+    assert (a, b) == pytest.approx((10.0, 10.0), rel=1e-12)
+    with pytest.raises(DegenerateInputError):
+        constant_upper_solution(params_for(alpha=400.0), 10.0, 1.0)
+    with pytest.raises(DegenerateInputError):
+        lipschitz_bounds(p, 10.0, 10.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(alpha=st.floats(1.0, 4.0), beta=st.floats(1.0, 4.0),
        k_u=st.floats(0.1, 5.0), k_v=st.floats(0.1, 5.0),
