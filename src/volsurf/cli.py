@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a verification suite failed, 2 bad usage or config,
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -21,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diagnostics import (audit_ckp, audit_degenerate_coupling, dense_oracle,
-                          fit_rate, record, write_series_csv)
+from .diagnostics import (_fmt, audit_ckp, audit_degenerate_coupling,
+                          dense_oracle, fit_rate, record, write_series_csv)
 from .errors import (LinearSolverError, MonotoneConvergenceError,
                      OracleFailure, StepFailure)
 from .grid import build_interval, build_periodic_strip, build_polar_disk
@@ -34,10 +35,6 @@ from .stepper import StepConfig, integrate
 
 __all__ = ["main", "load_config", "build_geometry", "build_params",
            "build_initial_state", "build_step_config"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _check_keys(section: dict, where: str, required: tuple, optional: tuple = ()):
@@ -174,11 +171,8 @@ def build_geometry(geo: dict):
 
 
 def build_params(sec: dict) -> ModelParams:
-    return ModelParams(alpha=float(sec["alpha"]), beta=float(sec["beta"]),
-                       delta_u=float(sec["delta_u"]),
-                       delta_v=float(sec.get("delta_v", 0.0)),
-                       k_u=float(sec.get("k_u", 1.0)),
-                       k_v=float(sec.get("k_v", 1.0)))
+    """ModelParams of a validated section; the dataclass owns the defaults."""
+    return ModelParams(**{key: float(value) for key, value in sec.items()})
 
 
 def build_initial_state(ini: dict, geom) -> State:
@@ -202,14 +196,9 @@ def build_initial_state(ini: dict, geom) -> State:
 
 
 def build_step_config(sec: dict) -> StepConfig:
-    kwargs = {"dt": float(sec["dt"])}
-    if "newton_tol" in sec:
-        kwargs["newton_tol"] = float(sec["newton_tol"])
-    if "newton_max_iter" in sec:
-        kwargs["newton_max_iter"] = int(sec["newton_max_iter"])
-    if "linear_tol" in sec:
-        kwargs["linear_tol"] = float(sec["linear_tol"])
-    return StepConfig(**kwargs)
+    """StepConfig of a validated section; the dataclass owns the defaults."""
+    return StepConfig(**{key: int(value) if key == "newton_max_iter"
+                         else float(value) for key, value in sec.items()})
 
 
 def _setup(cfg: dict, args=None):
@@ -265,9 +254,7 @@ def cmd_simulate(args) -> int:
     manifest = {
         "command": "simulate",
         "version": __version__,
-        "tolerances": {"dt": step_cfg.dt, "newton_tol": step_cfg.newton_tol,
-                       "newton_max_iter": step_cfg.newton_max_iter,
-                       "linear_tol": step_cfg.linear_tol},
+        "tolerances": dataclasses.asdict(step_cfg),
         "config": cfg,
     }
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -295,15 +282,14 @@ def cmd_monotone(args) -> int:
         load_config(_config_path(args)), args)
     solution, report = run_monotone(state0, geom, params, step_cfg, t_end,
                                     outer_tol=args.outer_tol, k_max=args.k_max)
+    verdict = check_sandwich(report)
     out = _out_dir(args, cfg)
     with open(os.path.join(out, "gaps.csv"), "w", encoding="utf-8") as fh:
         fh.write("k,gap,margin_lower,margin_cross,margin_upper\n")
         fh.write(f"0,{_fmt(report.gaps[0])},,,\n")
-        for k in range(1, report.k_final + 1):
+        for k, margins in enumerate(verdict.margins, start=1):
             fh.write(f"{k},{_fmt(report.gaps[k])},"
-                     f"{_fmt(report.violations_lower[k - 1])},"
-                     f"{_fmt(report.violations_cross[k - 1])},"
-                     f"{_fmt(report.violations_upper[k - 1])}\n")
+                     + ",".join(_fmt(m) for m in margins) + "\n")
     write_state_csv(solution[-1], geom, os.path.join(out, "final_state.csv"))
     n_last = len(report.times) - 1
     write_state_csv(State(report.lower_u[-1][n_last], report.lower_v[-1][n_last],
@@ -312,7 +298,6 @@ def cmd_monotone(args) -> int:
     write_state_csv(State(report.upper_u[-1][n_last], report.upper_v[-1][n_last],
                           float(report.times[-1])), geom,
                     os.path.join(out, "final_upper.csv"))
-    verdict = check_sandwich(report)
     print(f"converged in {report.k_final} sweeps, final gap "
           f"{_fmt(report.gaps[-1])}, ordering "
           f"{'intact' if verdict.passed else 'VIOLATED'} "
@@ -597,6 +582,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the grid or the horizon is too large for memory. "
+              f"{exc}".rstrip(), file=sys.stderr)
         return 2
     except (StepFailure, MonotoneConvergenceError, LinearSolverError,
             OracleFailure) as exc:

@@ -53,6 +53,8 @@ __all__ = [
 
 # floor under arguments of power-law derivatives (flat at 0 for exponent < 1)
 DERIVATIVE_FLOOR = 1e-12
+# floor under the log arguments and face values of the dissipation
+DISSIPATION_FLOOR = 1e-30
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -63,7 +65,7 @@ class ModelParams:
     alpha: float
     beta: float
     delta_u: float
-    delta_v: float
+    delta_v: float = 0.0
     k_u: float = 1.0
     k_v: float = 1.0
 
@@ -300,7 +302,7 @@ def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry,
 
 
 def _face_quadrature(values: np.ndarray, faces: np.ndarray,
-                     coeffs: np.ndarray, floor: float) -> float:
+                     coeffs: np.ndarray) -> float:
     """Sum of coeff * (jump)^2 / logmean(a, b), the discrete |grad w|^2 / w.
 
     The logarithmic face mean makes the sum equal to sum coeff * jump *
@@ -311,65 +313,39 @@ def _face_quadrature(values: np.ndarray, faces: np.ndarray,
     zero; each floored term still underestimates the exact integrand."""
     if len(faces) == 0:
         return 0.0
-    a = np.maximum(values[faces[:, 0]], floor)
-    b = np.maximum(values[faces[:, 1]], floor)
+    a = np.maximum(values[faces[:, 0]], DISSIPATION_FLOOR)
+    b = np.maximum(values[faces[:, 1]], DISSIPATION_FLOOR)
     jump = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         logmean = np.where(jump == 0.0, a, jump / np.log(b / a))
     return float(np.sum(coeffs * jump * jump / logmean))
 
 
-def dissipation(state: State, geom: GridGeometry, params: ModelParams,
-                floor: float = 1e-30) -> float:
+def dissipation(state: State, geom: GridGeometry, params: ModelParams) -> float:
     """Entropy dissipation: Fisher-type gradient terms plus the boundary
     reaction term (k_v v^beta - k_u u^alpha) log(k_v v^beta / (k_u u^alpha))
     >= 0.
 
-    floor > 0 bounds log arguments and denominators away from zero, making
-    the result a finite lower bound of the exact functional. floor = 0
-    requests the unfloored evaluation, which returns inf as soon as a
-    zero/positive pairing occurs.
+    Log arguments and face values are floored at DISSIPATION_FLOOR = 1e-30,
+    so the result is a finite lower bound of the exact functional, which is
+    infinite as soon as a zero value meets a positive one.
     """
-    if floor < 0:
-        raise ValueError(f"floor must be nonnegative, got {floor}")
     if np.any(state.u < 0) or np.any(state.v < 0):
         raise ValueError("dissipation requires nonnegative fields")
-    eff_floor = floor if floor > 0 else 0.0
-
-    if eff_floor == 0.0:
-        return _dissipation_unfloored(state, geom, params)
-
     d = params.delta_u * _face_quadrature(
-        state.u, geom.omega_faces, geom.omega_face_coeffs, eff_floor)
+        state.u, geom.omega_faces, geom.omega_face_coeffs)
     if params.delta_v > 0:
         d += params.delta_v * _face_quadrature(
-            state.v, geom.gamma_faces, geom.gamma_face_coeffs, eff_floor)
+            state.v, geom.gamma_faces, geom.gamma_face_coeffs)
 
     ut = trace(state.u, geom)
     a = params.k_v * state.v ** params.beta
     b = params.k_u * ut ** params.alpha
-    log_ratio = np.log(np.maximum(a, eff_floor) / np.maximum(b, eff_floor))
+    log_ratio = np.log(np.maximum(a, DISSIPATION_FLOOR)
+                       / np.maximum(b, DISSIPATION_FLOOR))
     integrand = np.where(a == b, 0.0, (a - b) * log_ratio)
     d += float(geom.gamma_weights @ integrand)
     return d
-
-
-def _dissipation_unfloored(state, geom, params):
-    for values, faces, coeffs, delta in (
-            (state.u, geom.omega_faces, geom.omega_face_coeffs, params.delta_u),
-            (state.v, geom.gamma_faces, geom.gamma_face_coeffs, params.delta_v)):
-        if delta == 0 or len(faces) == 0:
-            continue
-        a = values[faces[:, 0]]
-        b = values[faces[:, 1]]
-        if np.any((a != b) & ((a == 0) | (b == 0))):
-            return np.inf
-    ut = trace(state.u, geom)
-    a = params.k_v * state.v ** params.beta
-    b = params.k_u * ut ** params.alpha
-    if np.any((a != b) & ((a == 0) | (b == 0))):
-        return np.inf
-    return dissipation(state, geom, params, floor=np.finfo(float).tiny)
 
 
 def entropy_decomposition(state: State, geom: GridGeometry,

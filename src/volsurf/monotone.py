@@ -54,32 +54,32 @@ class IterationReport:
     stacks so orderings can be re-audited after the fact.
 
     gaps[k] is the sup-norm distance between the upper and lower iterate k
-    over the whole time grid; the violation arrays hold the worst signed
-    margin of each ordering between consecutive iterates (negative would be
-    a violation). Index 0 of the stacks is the constant starting pair.
+    over the whole time grid; check_sandwich audits the orderings between
+    consecutive iterates. Index 0 of the stacks is the constant starting
+    pair.
     """
 
     times: np.ndarray
     gaps: list = field(default_factory=list)
-    violations_lower: list = field(default_factory=list)
-    violations_cross: list = field(default_factory=list)
-    violations_upper: list = field(default_factory=list)
     lower_u: list = field(default_factory=list)
     lower_v: list = field(default_factory=list)
     upper_u: list = field(default_factory=list)
     upper_v: list = field(default_factory=list)
     bounds: tuple = (0.0, 0.0)
-    outer_tol: float = DEFAULT_OUTER_TOL
     converged: bool = False
     k_final: int = 0
 
 
 @dataclass(frozen=True)
 class SandwichVerdict:
+    """margins[k-1] holds the worst signed margin of each of the ORDERINGS
+    between iterates k-1 and k (negative is a violation)."""
+
     passed: bool
     worst_violation: float
     ordering: str
     k: int
+    margins: tuple
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     """Run the upper/lower iteration over [time0, time0 + t_horizon].
 
     Returns (solution, report): the midpoint trajectory as a list of States
-    on the uniform time grid, and the IterationReport with gaps, ordering
-    margins and the full iterate stacks. Raises MonotoneConvergenceError
+    on the uniform time grid, and the IterationReport with gaps and the full
+    iterate stacks. Raises MonotoneConvergenceError
     (gap sequence attached) if k_max sweeps do not reach outer_tol.
     """
     if state0.u.shape != (geom.n_omega,) or state0.v.shape != (geom.n_gamma,):
@@ -156,8 +156,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     stepper = _LinearStepper(geom, params, dataclasses.replace(cfg, dt=h),
                              params.alpha * l_u, params.beta * l_v)
 
-    report = IterationReport(times=times, bounds=(a_bound, b_bound),
-                             outer_tol=outer_tol)
+    report = IterationReport(times=times, bounds=(a_bound, b_bound))
     # stacks of the (lower, upper) pair, indexed [time, sequence, cell]; the
     # report holds views of one sequence each
     pair_u = np.empty((n_steps + 1, 2, geom.n_omega))
@@ -180,10 +179,6 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
         report.lower_v.append(lo_v)
         report.upper_u.append(hi_u)
         report.upper_v.append(hi_v)
-        margins = _ordering_margins(report, k)
-        report.violations_lower.append(margins[0])
-        report.violations_cross.append(margins[1])
-        report.violations_upper.append(margins[2])
         gap = max(float(np.max(np.abs(hi_u - lo_u))),
                   float(np.max(np.abs(hi_v - lo_v))))
         report.gaps.append(gap)
@@ -205,28 +200,29 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     return solution, report
 
 
-def check_sandwich(report: IterationReport, slack: float = None) -> SandwichVerdict:
-    """Re-audit all three orderings from the stored iterate stacks.
+def check_sandwich(report: IterationReport) -> SandwichVerdict:
+    """Audit all three orderings from the stored iterate stacks.
 
-    Slack defaults to ORDERING_SLACK * max(1, A, B). Returns the worst signed
-    margin together with where it occurred.
+    Passes when no margin is below -ORDERING_SLACK * max(1, A, B). Returns
+    every sweep's margins and the worst one together with where it occurred.
     """
     if not report.lower_u or len(report.lower_u) < 2:
         raise ValueError("report holds fewer than two iterates")
-    if slack is None:
-        slack = ORDERING_SLACK * max(1.0, *report.bounds)
+    slack = ORDERING_SLACK * max(1.0, *report.bounds)
+    margins = tuple(_ordering_margins(report, k)
+                    for k in range(1, len(report.lower_u)))
     worst = np.inf
     worst_ord = "none"
     worst_k = 0
-    for k in range(1, len(report.lower_u)):
-        for name, margin in zip(ORDERINGS, _ordering_margins(report, k)):
+    for k, triple in enumerate(margins, start=1):
+        for name, margin in zip(ORDERINGS, triple):
             if margin < worst:
                 worst = margin
                 worst_ord = name
                 worst_k = k
     return SandwichVerdict(passed=bool(worst >= -slack),
                            worst_violation=worst,
-                           ordering=worst_ord, k=worst_k)
+                           ordering=worst_ord, k=worst_k, margins=margins)
 
 
 def comparison_experiment(state_low: State, state_high: State,

@@ -292,7 +292,10 @@ class _CoupledStepper:
                     f"Newton did not reach tolerance in {cfg.newton_max_iter} "
                     f"iterations at t={state.time:g} (reduce dt)",
                     residual_history=history, time=state.time)
-            z = z + self._newton_update(z, res)
+            z_new = z + self._newton_update(z, res)
+            if np.array_equal(z_new, z):  # update below float resolution
+                break
+            z = z_new
             res = self._residual(z, z_old)
             res_norm = float(np.linalg.norm(res))
             history.append(res_norm)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import volsurf.cli as cli
 import volsurf.diagnostics as diagnostics
+import volsurf.stepper as stepper
 from volsurf.cli import SUITES, main
+from volsurf.monotone import check_sandwich, run_monotone
 
 
 def base_config(**overrides):
@@ -208,7 +210,8 @@ _JSON_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=3))
 _LEAVES = sorted({".".join(path) for cfg in LEAF_CONFIGS.values()
                   for path in _leaf_paths(cfg)})
-# the explicit oracle's step count grows with the stiffness without bound
+# the explicit oracle's step count grows with the stiffness, so each stiff
+# example would cost up to its evaluation cap, seconds of work
 _COMMANDS = ([["equilibrium"], ["simulate"], ["monotone"]]
              + [["verify", "--suite", suite] for suite in sorted(SUITES)
                 if suite != "oracle"])
@@ -366,6 +369,18 @@ def test_simulate_with_overflowing_reaction_exits_3(tmp_path, capsys):
     assert not (tmp_path / "series.csv").exists()
 
 
+def test_simulate_out_of_memory_is_usage_error(tmp_path, capsys,
+                                               monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 224. GiB")
+
+    monkeypatch.setattr(stepper._CoupledStepper, "__init__", no_memory)
+    path = write_config(tmp_path, base_config())
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large for memory" in err
+
+
 # ------------------------------------------------------------------- monotone
 
 
@@ -382,6 +397,12 @@ def test_monotone_writes_gap_table(tmp_path):
     assert gaps == sorted(gaps, reverse=True)
     assert (out / "final_lower.csv").exists()
     assert (out / "final_upper.csv").exists()
+
+    # the margin columns are the sandwich audit's, sweep by sweep
+    _, geom, params, state0, step_cfg, t_end = cli._setup(cfg)
+    _, report = run_monotone(state0, geom, params, step_cfg, t_end)
+    margins = [tuple(float(x) for x in r.split(",")[2:]) for r in rows[2:]]
+    assert margins == list(check_sandwich(report).margins)
 
 
 def test_monotone_nonconvergence_exits_3(tmp_path, capsys):
@@ -442,6 +463,18 @@ def test_verify_oracle_flags_coarse_dt(tmp_path):
                  "--out", str(tmp_path)]) == 1
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["passed"] is False
+
+
+def test_verify_oracle_on_stiff_diffusion_exits_3(tmp_path, capsys):
+    # explicit steps shrink with 1/delta_u; the evaluation cap ends the run
+    cfg = base_config(params={"alpha": 1.0, "beta": 1.0, "delta_u": 1e6},
+                      initial={"kind": "cosine", "u0": 1.0, "v0": 0.5,
+                               "amplitude": 0.3})
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--suite", "oracle",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "evaluations" in err
 
 
 def test_verify_oracle_failure_exits_3(tmp_path, monkeypatch, capsys):

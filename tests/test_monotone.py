@@ -114,6 +114,18 @@ def test_huge_tolerance_accepts_single_sweep():
     assert check_sandwich(report).passed
 
 
+def test_sandwich_margins_hold_every_sweep():
+    g = build_interval(10, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
+    s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
+    _, report = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.3)
+    verdict = check_sandwich(report)
+    assert len(verdict.margins) == report.k_final
+    assert all(len(triple) == 3 for triple in verdict.margins)
+    assert min(min(triple) for triple in verdict.margins) == \
+        verdict.worst_violation
+
+
 def test_sandwich_flags_swapped_stacks():
     g = build_interval(10, 1.0)
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)

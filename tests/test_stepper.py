@@ -309,6 +309,21 @@ def test_coupled_step_newton_exhaustion_raises():
     assert len(exc_info.value.residual_history) >= 1
 
 
+@pytest.mark.parametrize("dt", [1e-300, 1e-20, 1e-9, 1e-6])
+def test_coupled_step_accepts_float_fixed_point(dt):
+    # the Newton update falls below the float resolution of the state before
+    # the residual reaches its target; the step must stop there, not fail
+    g = build_interval(10, 1.0)
+    p = interval_params(alpha=2.0, beta=1.0)
+    rng = np.random.default_rng(0)
+    s0 = State(rng.uniform(0.0, 2.0, g.n_omega), rng.uniform(0.0, 2.0, g.n_gamma))
+    s1 = coupled_step(s0, g, p, StepConfig(dt=dt))
+    m0 = mass(s0, g, p)
+    assert abs(mass(s1, g, p) - m0) <= 1e-14 * m0
+    if dt == 1e-300:
+        assert np.array_equal(s1.u, s0.u) and np.array_equal(s1.v, s0.v)
+
+
 def test_coupled_step_validation():
     g = build_interval(4, 1.0)
     p = interval_params()

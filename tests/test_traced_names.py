@@ -6,7 +6,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from volsurf.grid import build_interval
+from volsurf.model import ModelParams, State
+from volsurf.monotone import run_monotone
+from volsurf.stepper import StepConfig
 
 
 def _load_tracing():
@@ -36,3 +42,14 @@ _OTHER_NAMES = (
     [(m, a) for m, a, _ in _TRACING.PLAIN] + _OTHER_NAMES)
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_monotone_counts_read_a_real_report():
+    # the traced benchmark reads these fields off run_monotone's report
+    g = build_interval(8, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0)
+    s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
+    result = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.2)
+    counts = _TRACING._monotone_counts(result)
+    assert counts["sweeps"] == result[1].k_final >= 1
+    assert counts["iterate_bytes"] > 0
