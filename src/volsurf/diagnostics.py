@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleFailure
-from .grid import GridGeometry, trace
+from .grid import GridGeometry
 from .model import (Equilibrium, ModelParams, State, ckp_constant,
                     dissipation, entropy, entropy_decomposition,
                     equilibrium_entropy, mass, solve_equilibrium)
@@ -43,7 +43,7 @@ SERIES_COLUMNS = ("t", "mass", "E", "D", "E_rel", "I1", "I2", "L1_u", "L1_v")
 
 @dataclass
 class TraceSeries:
-    """Per-record observables of one run, plus the recorded states."""
+    """Per-record observables of one run, plus its final state."""
 
     times: np.ndarray
     mass: np.ndarray
@@ -56,7 +56,7 @@ class TraceSeries:
     l1_v: np.ndarray
     equilibrium: Equilibrium
     entropy_eq: float
-    states: list
+    final: State
 
     def __len__(self):
         return len(self.times)
@@ -81,7 +81,6 @@ def record(state0: State, geom: GridGeometry, params: ModelParams,
     e_eq = equilibrium_entropy(eq, geom, params)
 
     rows = {name: [] for name in ("t", "m", "e", "d", "i1", "i2", "l1u", "l1v")}
-    states = []
 
     def push(state):
         e = entropy(state, geom, params)
@@ -94,10 +93,9 @@ def record(state0: State, geom: GridGeometry, params: ModelParams,
         rows["i2"].append(i2)
         rows["l1u"].append(float(geom.omega_weights @ np.abs(state.u - eq.u_inf)))
         rows["l1v"].append(float(geom.gamma_weights @ np.abs(state.v - eq.v_inf)))
-        states.append(state.copy())
 
     push(state0)
-    integrate(state0, geom, params, cfg, t_end, observer=push)
+    final = integrate(state0, geom, params, cfg, t_end, observer=push)
 
     e_arr = np.array(rows["e"])
     return TraceSeries(
@@ -112,7 +110,7 @@ def record(state0: State, geom: GridGeometry, params: ModelParams,
         l1_v=np.array(rows["l1v"]),
         equilibrium=eq,
         entropy_eq=e_eq,
-        states=states,
+        final=final,
     )
 
 
@@ -185,14 +183,17 @@ def audit_degenerate_coupling(states, geom: GridGeometry,
                               params: ModelParams) -> float:
     """Empirical constant in the boundary-coupling estimate for delta_v = 0.
 
-    With U = sqrt(u), V = sqrt(v), returns the minimum over recorded states of
+    In the rescaled variables u~ = k_u^(1/a) u, v~ = k_v^(1/b) v, in which the
+    reaction reads u~^a - v~^b, and with U = sqrt(u~), V = sqrt(v~), returns
+    the minimum over the given states of
 
         [ ||U^a - V^b||^2_G + ||grad U||^2_O + ||U - mean(U)||^2_G ]
         / ||V - mean(V)||^2_G
 
     skipping states whose denominator is below 1e-14. Positive ratios are the
     evidence that surface oscillations are controlled by bulk quantities even
-    without surface diffusion. Returns inf when every state is skipped.
+    without surface diffusion. Returns inf when every state is skipped. With
+    k_u = k_v = 1 the rescaling is the identity.
     """
     if params.delta_v != 0:
         raise ValueError("degenerate coupling audit requires delta_v = 0")
@@ -200,14 +201,16 @@ def audit_degenerate_coupling(states, geom: GridGeometry,
         raise ValueError("empty trajectory")
     best = np.inf
     wg = geom.gamma_weights
+    scale_u = params.k_u ** (1.0 / params.alpha)
+    scale_v = params.k_v ** (1.0 / params.beta)
     for state in states:
-        v_sqrt = np.sqrt(state.v)
+        v_sqrt = np.sqrt(scale_v * state.v)
         v_mean = float(wg @ v_sqrt) / geom.gamma_measure
         den = float(wg @ (v_sqrt - v_mean) ** 2)
         if den <= 1e-14:
             continue
-        u_sqrt = np.sqrt(state.u)
-        ut_sqrt = np.sqrt(trace(state.u, geom))
+        u_sqrt = np.sqrt(scale_u * state.u)
+        ut_sqrt = u_sqrt[geom.trace_cells]
         u_mean = float(geom.omega_weights @ u_sqrt) / geom.omega_measure
         jumps = u_sqrt[geom.omega_faces[:, 1]] - u_sqrt[geom.omega_faces[:, 0]]
         num = (float(wg @ (ut_sqrt ** params.alpha - v_sqrt ** params.beta) ** 2)

@@ -10,7 +10,9 @@ between computable bounds:
 
 The discrete steps inherit this ordering exactly (M-matrix structure), so
 the recorded gap g_k is a certificate: the returned midpoint trajectory is
-within g_k/2 of the backward-Euler solution in sup norm.
+within g_k/2 of the backward-Euler solution in sup norm. Each sweep's three
+ordering margins are measured as the sweep completes, against the pair
+before it, which is then dropped: a run holds at most two iterate pairs.
 
 The linear bulk and surface matrices are the same for every step of every
 sweep (Robin coefficient alpha*L_u, absorption beta*L_v, fixed dt), so one
@@ -50,21 +52,24 @@ ORDERINGS = ("lower_nondecreasing", "lower_below_upper", "upper_nonincreasing")
 
 @dataclass
 class IterationReport:
-    """Everything the outer iteration produced, including the full iterate
-    stacks so orderings can be re-audited after the fact.
+    """What the outer iteration produced: per-sweep gaps and ordering
+    margins, and the last (lower, upper) pair.
 
     gaps[k] is the sup-norm distance between the upper and lower iterate k
-    over the whole time grid; check_sandwich audits the orderings between
-    consecutive iterates. Index 0 of the stacks is the constant starting
-    pair.
+    over the whole time grid; gaps[0] is the constant starting pair's.
+    margins[k-1] holds the worst signed margin of each of the ORDERINGS
+    between iterates k-1 and k (negative is a violation). lower_u ...
+    upper_v are iterate k_final, indexed [time, cell]; no earlier iterate
+    is kept.
     """
 
     times: np.ndarray
     gaps: list = field(default_factory=list)
-    lower_u: list = field(default_factory=list)
-    lower_v: list = field(default_factory=list)
-    upper_u: list = field(default_factory=list)
-    upper_v: list = field(default_factory=list)
+    margins: list = field(default_factory=list)
+    lower_u: np.ndarray = None
+    lower_v: np.ndarray = None
+    upper_u: np.ndarray = None
+    upper_v: np.ndarray = None
     bounds: tuple = (0.0, 0.0)
     converged: bool = False
     k_final: int = 0
@@ -72,14 +77,10 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class SandwichVerdict:
-    """margins[k-1] holds the worst signed margin of each of the ORDERINGS
-    between iterates k-1 and k (negative is a violation)."""
-
     passed: bool
     worst_violation: float
     ordering: str
     k: int
-    margins: tuple
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,16 @@ def _sweep_pair(u0, v0, prev_u, prev_v, stepper, params, l_u, l_v):
     return u_traj, v_traj
 
 
-def _ordering_margins(report, k):
-    """Worst signed margins of the three ORDERINGS between the stored
-    iterates k-1 and k (negative is a violation)."""
+def _ordering_margins(prev_u, prev_v, new_u, new_v):
+    """Worst signed margins of the three ORDERINGS between the pair stacks
+    of iterates k-1 and k, indexed [time, sequence, cell] with the lower
+    sequence first (negative is a violation)."""
     def worst(below_u, below_v, above_u, above_v):
         return float(min(np.min(above_u - below_u), np.min(above_v - below_v)))
 
-    r = report
-    return (worst(r.lower_u[k - 1], r.lower_v[k - 1], r.lower_u[k], r.lower_v[k]),
-            worst(r.lower_u[k], r.lower_v[k], r.upper_u[k], r.upper_v[k]),
-            worst(r.upper_u[k], r.upper_v[k], r.upper_u[k - 1], r.upper_v[k - 1]))
+    return (worst(prev_u[:, 0], prev_v[:, 0], new_u[:, 0], new_v[:, 0]),
+            worst(new_u[:, 0], new_v[:, 0], new_u[:, 1], new_v[:, 1]),
+            worst(new_u[:, 1], new_v[:, 1], prev_u[:, 1], prev_v[:, 1]))
 
 
 def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
@@ -129,8 +130,8 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     """Run the upper/lower iteration over [time0, time0 + t_horizon].
 
     Returns (solution, report): the midpoint trajectory as a list of States
-    on the uniform time grid, and the IterationReport with gaps and the full
-    iterate stacks. Raises MonotoneConvergenceError
+    on the uniform time grid, and the IterationReport with every sweep's gap
+    and ordering margins and the final pair. Raises MonotoneConvergenceError
     (gap sequence attached) if k_max sweeps do not reach outer_tol.
     """
     if state0.u.shape != (geom.n_omega,) or state0.v.shape != (geom.n_gamma,):
@@ -157,30 +158,20 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
                              params.alpha * l_u, params.beta * l_v)
 
     report = IterationReport(times=times, bounds=(a_bound, b_bound))
-    # stacks of the (lower, upper) pair, indexed [time, sequence, cell]; the
-    # report holds views of one sequence each
+    # stacks of the (lower, upper) pair, indexed [time, sequence, cell]
     pair_u = np.empty((n_steps + 1, 2, geom.n_omega))
     pair_v = np.empty((n_steps + 1, 2, geom.n_gamma))
     pair_u[:, 0], pair_u[:, 1] = 0.0, a_bound
     pair_v[:, 0], pair_v[:, 1] = 0.0, b_bound
-    report.lower_u.append(pair_u[:, 0])
-    report.lower_v.append(pair_v[:, 0])
-    report.upper_u.append(pair_u[:, 1])
-    report.upper_v.append(pair_v[:, 1])
-    gap0 = max(a_bound, b_bound)
-    report.gaps.append(gap0)
+    report.gaps.append(max(a_bound, b_bound))
 
     for k in range(1, k_max + 1):
-        pair_u, pair_v = _sweep_pair(state0.u, state0.v, pair_u, pair_v,
-                                     stepper, params, l_u, l_v)
-        lo_u, hi_u = pair_u[:, 0], pair_u[:, 1]
-        lo_v, hi_v = pair_v[:, 0], pair_v[:, 1]
-        report.lower_u.append(lo_u)
-        report.lower_v.append(lo_v)
-        report.upper_u.append(hi_u)
-        report.upper_v.append(hi_v)
-        gap = max(float(np.max(np.abs(hi_u - lo_u))),
-                  float(np.max(np.abs(hi_v - lo_v))))
+        new_u, new_v = _sweep_pair(state0.u, state0.v, pair_u, pair_v,
+                                   stepper, params, l_u, l_v)
+        report.margins.append(_ordering_margins(pair_u, pair_v, new_u, new_v))
+        pair_u, pair_v = new_u, new_v
+        gap = max(float(np.max(np.abs(pair_u[:, 1] - pair_u[:, 0]))),
+                  float(np.max(np.abs(pair_v[:, 1] - pair_v[:, 0]))))
         report.gaps.append(gap)
         report.k_final = k
         if gap <= outer_tol:
@@ -192,8 +183,10 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
             f"{k_max} sweeps (raise k_max or shorten the horizon)",
             gaps=report.gaps)
 
-    mid_u = 0.5 * (report.upper_u[-1] + report.lower_u[-1])
-    mid_v = 0.5 * (report.upper_v[-1] + report.lower_v[-1])
+    report.lower_u, report.upper_u = pair_u[:, 0], pair_u[:, 1]
+    report.lower_v, report.upper_v = pair_v[:, 0], pair_v[:, 1]
+    mid_u = 0.5 * (report.upper_u + report.lower_u)
+    mid_v = 0.5 * (report.upper_v + report.lower_v)
     solution = [State(np.maximum(mid_u[n], 0.0), np.maximum(mid_v[n], 0.0),
                       float(times[n]))
                 for n in range(n_steps + 1)]
@@ -201,20 +194,19 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
 
 
 def check_sandwich(report: IterationReport) -> SandwichVerdict:
-    """Audit all three orderings from the stored iterate stacks.
+    """Audit all three orderings from the margins run_monotone measured as
+    each sweep completed.
 
     Passes when no margin is below -ORDERING_SLACK * max(1, A, B). Returns
-    every sweep's margins and the worst one together with where it occurred.
+    the worst margin together with the ordering and sweep where it occurred.
     """
-    if not report.lower_u or len(report.lower_u) < 2:
-        raise ValueError("report holds fewer than two iterates")
+    if not report.margins:
+        raise ValueError("report holds no sweep")
     slack = ORDERING_SLACK * max(1.0, *report.bounds)
-    margins = tuple(_ordering_margins(report, k)
-                    for k in range(1, len(report.lower_u)))
     worst = np.inf
     worst_ord = "none"
     worst_k = 0
-    for k, triple in enumerate(margins, start=1):
+    for k, triple in enumerate(report.margins, start=1):
         for name, margin in zip(ORDERINGS, triple):
             if margin < worst:
                 worst = margin
@@ -222,7 +214,7 @@ def check_sandwich(report: IterationReport) -> SandwichVerdict:
                 worst_k = k
     return SandwichVerdict(passed=bool(worst >= -slack),
                            worst_violation=worst,
-                           ordering=worst_ord, k=worst_k, margins=margins)
+                           ordering=worst_ord, k=worst_k)
 
 
 def comparison_experiment(state_low: State, state_high: State,
@@ -238,10 +230,8 @@ def comparison_experiment(state_low: State, state_high: State,
 
     low_steps = []
     high_steps = []
-    integrate(state_low.copy(), geom, params, cfg, t_end,
-              observer=lambda s: low_steps.append(s.copy()))
-    integrate(state_high.copy(), geom, params, cfg, t_end,
-              observer=lambda s: high_steps.append(s.copy()))
+    integrate(state_low, geom, params, cfg, t_end, observer=low_steps.append)
+    integrate(state_high, geom, params, cfg, t_end, observer=high_steps.append)
 
     worst = np.inf
     worst_time = state_low.time

@@ -330,7 +330,9 @@ def integrate(state0: State, geom: GridGeometry, params: ModelParams,
 
     The step count is round((t_end - t0)/dt), so requesting a t_end that is a
     multiple of dt gives exactly dt-sized steps and diagnostics can rely on a
-    uniform grid. The observer, if given, is called after every accepted step.
+    uniform grid. The observer, if given, is called after every accepted step
+    with that step's State, which is fresh and never modified afterwards, so
+    it may be kept without a copy.
     """
     if state0.u.shape != (geom.n_omega,) or state0.v.shape != (geom.n_gamma,):
         raise ValueError("state does not match geometry dimensions")

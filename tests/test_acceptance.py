@@ -334,15 +334,23 @@ def test_09_equilibrium_solver():
            f"worst oracle gap {worst_oracle:.2e}")
 
 
-def test_10_degenerate_coupling(geometries, long_runs):
+def test_10_degenerate_coupling(geometries):
+    # the long-run matrix, audited state by state as the run advances
     g = geometries["strip"]
     worst = np.inf
     ok = False
-    for case, series in long_runs.items():
+    for case in CASES:
         if case[0] != "strip" or case[3] != 0.0:
             continue
-        ratio = audit_degenerate_coupling(series.states, g, case_params(case))
-        worst = min(worst, ratio)
+        p = case_params(case)
+        s0 = case_initial(case, g)
+        ratios = [audit_degenerate_coupling([s0], g, p)]
+
+        def observe(state):
+            ratios.append(audit_degenerate_coupling([state], g, p))
+
+        integrate(s0, g, p, StepConfig(dt=1e-2), 10.0, observer=observe)
+        worst = min(worst, *ratios)
         ok = True
     ok = ok and worst > 0.0
     report(10, "degenerate boundary coupling witness", ok,

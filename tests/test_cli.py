@@ -13,7 +13,7 @@ import volsurf.cli as cli
 import volsurf.diagnostics as diagnostics
 import volsurf.stepper as stepper
 from volsurf.cli import SUITES, main
-from volsurf.monotone import check_sandwich, run_monotone
+from volsurf.monotone import run_monotone
 
 
 def base_config(**overrides):
@@ -398,11 +398,11 @@ def test_monotone_writes_gap_table(tmp_path):
     assert (out / "final_lower.csv").exists()
     assert (out / "final_upper.csv").exists()
 
-    # the margin columns are the sandwich audit's, sweep by sweep
+    # the margin columns are the report's, sweep by sweep
     _, geom, params, state0, step_cfg, t_end = cli._setup(cfg)
     _, report = run_monotone(state0, geom, params, step_cfg, t_end)
     margins = [tuple(float(x) for x in r.split(",")[2:]) for r in rows[2:]]
-    assert margins == list(check_sandwich(report).margins)
+    assert margins == report.margins
 
 
 def test_monotone_nonconvergence_exits_3(tmp_path, capsys):

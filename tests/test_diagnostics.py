@@ -11,7 +11,7 @@ from volsurf.errors import OracleFailure
 from volsurf.grid import build_interval, build_periodic_strip
 from volsurf.model import (Equilibrium, ModelParams, State, equilibrium_state,
                            mass, solve_equilibrium)
-from volsurf.stepper import StepConfig, semi_discrete_rhs
+from volsurf.stepper import StepConfig, integrate, semi_discrete_rhs
 
 
 def interval_run(t_end=1.0, dt=0.01, alpha=2.0, beta=1.0, k_u=1.0, k_v=1.0):
@@ -34,7 +34,7 @@ def synthetic_series(times, e_rel, dissipation, e_eq=-3.0):
         i1=zeros, i2=zeros, l1_u=zeros, l1_v=zeros,
         equilibrium=Equilibrium(1.0, 1.0, 1.0),
         entropy_eq=e_eq,
-        states=[],
+        final=None,
     )
 
 
@@ -62,6 +62,7 @@ def test_record_equilibrium_run_stays_flat():
 def test_record_generic_run_invariants():
     series, g, p = interval_run()
     m0 = series.mass[0]
+    assert series.final.time == series.times[-1]
     assert np.all(np.diff(series.times) > 0)
     assert np.max(np.abs(series.mass - m0)) <= 1e-8 * abs(m0)
     assert np.all(series.dissipation >= 0.0)
@@ -209,6 +210,10 @@ def test_degenerate_audit_hand_computed_ratio():
     p = ModelParams(alpha=1.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s = State(np.ones(g.n_omega), np.tile([4.0, 1.0], 4))
     assert audit_degenerate_coupling([s], g, p) == pytest.approx(2.0, rel=1e-14)
+    # the audit reads k_u u^a: with k_u = 9 the trace is sqrt(9 u) = 3 and
+    # num = |Gamma|/2 * ((3-2)^2 + (3-1)^2) = 5
+    p9 = ModelParams(alpha=1.0, beta=1.0, delta_u=1.0, delta_v=0.0, k_u=9.0)
+    assert audit_degenerate_coupling([s], g, p9) == pytest.approx(10.0, rel=1e-14)
 
 
 def test_degenerate_audit_positive_on_generic_run():
@@ -216,8 +221,10 @@ def test_degenerate_audit_positive_on_generic_run():
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s0 = State(np.ones(g.n_omega),
                0.5 + 0.3 * np.cos(2.0 * np.pi * g.gamma_unit_coord))
-    series = record(s0, g, p, StepConfig(dt=0.01), 0.5)
-    ratio = audit_degenerate_coupling(series.states, g, p)
+    states = [s0]
+    integrate(s0, g, p, StepConfig(dt=0.01), 0.5, observer=states.append)
+    assert len(states) == 51
+    ratio = audit_degenerate_coupling(states, g, p)
     assert np.isfinite(ratio)
     assert ratio > 0.0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from volsurf import monotone
 from volsurf.errors import MonotoneConvergenceError
 from volsurf.grid import build_interval, build_periodic_strip, trace
 from volsurf.model import (ModelParams, State, equilibrium_state,
@@ -65,19 +66,38 @@ def test_monotone_limit_matches_newton_trajectory():
     assert worst <= max(10 * tol, 1e-6)
 
 
-def test_iterates_stay_inside_bounding_box():
+def _spy_sweeps(monkeypatch, swap=False):
+    """Record each sweep's input and output pair stacks ([time, sequence,
+    cell], lower first); with swap, hand the two sequences back exchanged."""
+    sweeps = []
+    real = monotone._sweep_pair
+
+    def spy(u0, v0, prev_u, prev_v, *args):
+        new_u, new_v = real(u0, v0, prev_u, prev_v, *args)
+        if swap:
+            new_u, new_v = new_u[:, ::-1], new_v[:, ::-1]
+        sweeps.append((prev_u, prev_v, new_u, new_v))
+        return new_u, new_v
+
+    monkeypatch.setattr(monotone, "_sweep_pair", spy)
+    return sweeps
+
+
+def test_iterates_stay_inside_bounding_box(monkeypatch):
+    sweeps = _spy_sweeps(monkeypatch)
     g = build_periodic_strip(8, 4, 1.0, 1.0)
     p = ModelParams(alpha=1.0, beta=2.0, delta_u=1.0, delta_v=1.0)
     rng = np.random.default_rng(2)
     s0 = State(rng.uniform(0.0, 1.5, g.n_omega), rng.uniform(0.0, 1.5, g.n_gamma))
     _, report = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.5)
+    assert len(sweeps) == report.k_final
     a_bound, b_bound = report.bounds
     eps = 1e-9 * max(1.0, a_bound, b_bound)
-    for k in range(len(report.lower_u)):
-        assert np.min(report.lower_u[k]) >= -eps
-        assert np.min(report.lower_v[k]) >= -eps
-        assert np.max(report.upper_u[k]) <= a_bound + eps
-        assert np.max(report.upper_v[k]) <= b_bound + eps
+    for pair_u, pair_v in [sweeps[0][:2]] + [s[2:] for s in sweeps]:
+        assert np.min(pair_u[:, 0]) >= -eps
+        assert np.min(pair_v[:, 0]) >= -eps
+        assert np.max(pair_u[:, 1]) <= a_bound + eps
+        assert np.max(pair_v[:, 1]) <= b_bound + eps
 
 
 def test_gap_sequence_monotone_under_slack():
@@ -114,25 +134,34 @@ def test_huge_tolerance_accepts_single_sweep():
     assert check_sandwich(report).passed
 
 
-def test_sandwich_margins_hold_every_sweep():
+def test_sandwich_margins_hold_every_sweep(monkeypatch):
+    sweeps = _spy_sweeps(monkeypatch)
     g = build_interval(10, 1.0)
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
     _, report = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.3)
     verdict = check_sandwich(report)
-    assert len(verdict.margins) == report.k_final
-    assert all(len(triple) == 3 for triple in verdict.margins)
-    assert min(min(triple) for triple in verdict.margins) == \
+    assert len(report.margins) == report.k_final
+    assert min(min(triple) for triple in report.margins) == \
         verdict.worst_violation
 
+    def worst(below, above):  # (u, v) stacks of one sequence each
+        return min(np.min(above[0] - below[0]), np.min(above[1] - below[1]))
 
-def test_sandwich_flags_swapped_stacks():
+    for (prev_u, prev_v, new_u, new_v), triple in zip(sweeps, report.margins):
+        prev_lo = (prev_u[:, 0], prev_v[:, 0])
+        prev_hi = (prev_u[:, 1], prev_v[:, 1])
+        lo, hi = (new_u[:, 0], new_v[:, 0]), (new_u[:, 1], new_v[:, 1])
+        assert triple == (worst(prev_lo, lo), worst(lo, hi),
+                          worst(hi, prev_hi))
+
+
+def test_sandwich_flags_swapped_stacks(monkeypatch):
+    _spy_sweeps(monkeypatch, swap=True)
     g = build_interval(10, 1.0)
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
     _, report = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.3)
-    report.lower_u, report.upper_u = report.upper_u, report.lower_u
-    report.lower_v, report.upper_v = report.upper_v, report.lower_v
     verdict = check_sandwich(report)
     assert not verdict.passed
     assert verdict.worst_violation < 0.0
@@ -184,7 +213,8 @@ def _cosine_state(g, u0, v0, amp):
 
 
 @pytest.mark.parametrize("case", ["interval", "strip"])
-def test_lockstep_sweep_matches_sequential_one_shot_sweeps(case):
+def test_lockstep_sweep_matches_sequential_one_shot_sweeps(monkeypatch, case):
+    sweeps = _spy_sweeps(monkeypatch)
     # delta_v = 0 on the interval (diagonal surface block), delta_v > 0 on
     # the strip (coupled surface block)
     if case == "interval":
@@ -198,19 +228,18 @@ def test_lockstep_sweep_matches_sequential_one_shot_sweeps(case):
     _, report = run_monotone(s0, g, p, StepConfig(dt=0.01), 0.1,
                              outer_tol=1e-6)
     assert report.k_final >= 3
+    assert len(sweeps) == report.k_final
     cfg = StepConfig(dt=report.times[1] - report.times[0])
     l_u, l_v = lipschitz_bounds(p, *report.bounds)
     worst = 0.0
-    for k in range(1, report.k_final + 1):
-        for stacks in ((report.lower_u, report.lower_v),
-                       (report.upper_u, report.upper_v)):
-            ref_u, ref_v = _sequential_sweep(s0, stacks[0][k - 1],
-                                             stacks[1][k - 1], g, p, cfg,
-                                             l_u, l_v)
+    for prev_u, prev_v, new_u, new_v in sweeps:
+        for j in (0, 1):  # lower, upper
+            ref_u, ref_v = _sequential_sweep(s0, prev_u[:, j], prev_v[:, j],
+                                             g, p, cfg, l_u, l_v)
             scale = max(np.max(np.abs(ref_u)), np.max(np.abs(ref_v)))
             worst = max(worst,
-                        np.max(np.abs(stacks[0][k] - ref_u)) / scale,
-                        np.max(np.abs(stacks[1][k] - ref_v)) / scale)
+                        np.max(np.abs(new_u[:, j] - ref_u)) / scale,
+                        np.max(np.abs(new_v[:, j] - ref_v)) / scale)
     assert worst <= 1e-12
 
 

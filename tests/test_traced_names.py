@@ -53,3 +53,18 @@ def test_monotone_counts_read_a_real_report():
     counts = _TRACING._monotone_counts(result)
     assert counts["sweeps"] == result[1].k_final >= 1
     assert counts["iterate_bytes"] > 0
+
+
+def test_monotone_report_keeps_one_iterate_pair():
+    # more sweeps keep no more iterates: only the final (lower, upper) pair
+    g = build_interval(8, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0)
+    s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
+    counts = {}
+    for tol in (1e-3, 1e-10):
+        result = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.2,
+                              outer_tol=tol)
+        counts[result[1].k_final] = _TRACING._monotone_counts(result)
+    assert len(counts) == 2
+    pair_bytes = 2 * len(result[1].times) * (g.n_omega + g.n_gamma) * 8
+    assert [c["iterate_bytes"] for c in counts.values()] == [pair_bytes] * 2
