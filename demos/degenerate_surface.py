@@ -36,7 +36,7 @@ def run(params):
         times.append(state.time)
         osc.append(float(np.max(np.abs(state.v - np.mean(state.v)))))
         if params.delta_v == 0:
-            ratios.append(audit_degenerate_coupling([state], geom, params))
+            ratios.append(audit_degenerate_coupling(state, geom, params))
 
     observe(s0)
     integrate(s0, geom, params, StepConfig(dt=1e-2), 10.0, observer=observe)

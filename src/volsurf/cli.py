@@ -217,16 +217,6 @@ def _setup(cfg: dict, args=None):
     return cfg, geom, params, state0, step_cfg, float(cfg["t_end"])
 
 
-def _config_path(args) -> str:
-    if args.config is not None and args.config_flag is not None:
-        raise ValueError("give the config either positionally or via --config, "
-                         "not both")
-    path = args.config if args.config is not None else args.config_flag
-    if path is None:
-        raise ValueError("no config file given")
-    return path
-
-
 def _out_dir(args, cfg) -> str:
     out = args.out if args.out is not None else cfg.get("out", ".")
     os.makedirs(out, exist_ok=True)
@@ -246,7 +236,7 @@ def write_state_csv(state: State, geom, path):
 
 def cmd_simulate(args) -> int:
     cfg, geom, params, state0, step_cfg, t_end = _setup(
-        load_config(_config_path(args)), args)
+        load_config(args.config), args)
     series = record(state0, geom, params, step_cfg, t_end)
     out = _out_dir(args, cfg)
     write_series_csv(series, os.path.join(out, "series.csv"))
@@ -267,7 +257,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     cfg, geom, params, state0, _, _ = _setup(
-        load_config(_config_path(args)), args)
+        load_config(args.config), args)
     m = mass(state0, geom, params)
     eq = solve_equilibrium(params, geom, m)
     print(f"u_inf={_fmt(eq.u_inf)}")
@@ -279,7 +269,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_monotone(args) -> int:
     cfg, geom, params, state0, step_cfg, t_end = _setup(
-        load_config(_config_path(args)), args)
+        load_config(args.config), args)
     solution, report = run_monotone(state0, geom, params, step_cfg, t_end,
                                     outer_tol=args.outer_tol, k_max=args.k_max)
     verdict = check_sandwich(report)
@@ -369,9 +359,9 @@ def _suite_degenerate(geom, params, state0, step_cfg, t_end, seed):
     if params.delta_v != 0:
         raise ValueError("degenerate suite requires params.delta_v = 0")
     # audited state by state: the run's states are not kept
-    ratios = [audit_degenerate_coupling([state0], geom, params)]
+    ratios = [audit_degenerate_coupling(state0, geom, params)]
     integrate(state0, geom, params, step_cfg, t_end, observer=lambda s:
-              ratios.append(audit_degenerate_coupling([s], geom, params)))
+              ratios.append(audit_degenerate_coupling(s, geom, params)))
     return min(ratios) > 0, {"min_ratio": min(ratios)}
 
 
@@ -408,7 +398,7 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     cfg, geom, params, state0, step_cfg, t_end = _setup(
-        load_config(_config_path(args)), args)
+        load_config(args.config), args)
     seed = int(cfg.get("seed", 0))
     passed, metrics = SUITES[args.suite](geom, params, state0, step_cfg,
                                          t_end, seed)
@@ -477,7 +467,7 @@ def _sweep_pool(workers: int, template: dict, keys: list, combos: list):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    sweep_spec = _load_json(_config_path(args))
+    sweep_spec = _load_json(args.config)
     _check_keys(sweep_spec, "sweep config", ("template", "grid"))
     grid = sweep_spec["grid"]
     if not isinstance(grid, dict) or not grid:
@@ -515,10 +505,7 @@ def cmd_sweep(args) -> int:
 
 
 def _add_common(p, t_end=False, seed=False, out=True):
-    p.add_argument("config", nargs="?", default=None,
-                   help="run config (JSON) or a simulate manifest")
-    p.add_argument("--config", dest="config_flag", default=None,
-                   help="alternative to the positional config path")
+    p.add_argument("config", help="run config (JSON) or a simulate manifest")
     if out:
         p.add_argument("--out", default=None,
                        help="output directory (default: config 'out' or '.')")

@@ -179,45 +179,38 @@ def audit_ckp(series: TraceSeries, params: ModelParams) -> float:
     return float(np.min(margins))
 
 
-def audit_degenerate_coupling(states, geom: GridGeometry,
+def audit_degenerate_coupling(state: State, geom: GridGeometry,
                               params: ModelParams) -> float:
     """Empirical constant in the boundary-coupling estimate for delta_v = 0.
 
     In the rescaled variables u~ = k_u^(1/a) u, v~ = k_v^(1/b) v, in which the
     reaction reads u~^a - v~^b, and with U = sqrt(u~), V = sqrt(v~), returns
-    the minimum over the given states of
+    for the given state
 
         [ ||U^a - V^b||^2_G + ||grad U||^2_O + ||U - mean(U)||^2_G ]
         / ||V - mean(V)||^2_G
 
-    skipping states whose denominator is below 1e-14. Positive ratios are the
-    evidence that surface oscillations are controlled by bulk quantities even
-    without surface diffusion. Returns inf when every state is skipped. With
+    or inf when the denominator is below 1e-14. Positive ratios along a run
+    (callers take the minimum) are the evidence that surface oscillations are
+    controlled by bulk quantities even without surface diffusion. With
     k_u = k_v = 1 the rescaling is the identity.
     """
     if params.delta_v != 0:
         raise ValueError("degenerate coupling audit requires delta_v = 0")
-    if not states:
-        raise ValueError("empty trajectory")
-    best = np.inf
     wg = geom.gamma_weights
-    scale_u = params.k_u ** (1.0 / params.alpha)
-    scale_v = params.k_v ** (1.0 / params.beta)
-    for state in states:
-        v_sqrt = np.sqrt(scale_v * state.v)
-        v_mean = float(wg @ v_sqrt) / geom.gamma_measure
-        den = float(wg @ (v_sqrt - v_mean) ** 2)
-        if den <= 1e-14:
-            continue
-        u_sqrt = np.sqrt(scale_u * state.u)
-        ut_sqrt = u_sqrt[geom.trace_cells]
-        u_mean = float(geom.omega_weights @ u_sqrt) / geom.omega_measure
-        jumps = u_sqrt[geom.omega_faces[:, 1]] - u_sqrt[geom.omega_faces[:, 0]]
-        num = (float(wg @ (ut_sqrt ** params.alpha - v_sqrt ** params.beta) ** 2)
-               + float(geom.omega_face_coeffs @ jumps ** 2)
-               + float(wg @ (ut_sqrt - u_mean) ** 2))
-        best = min(best, num / den)
-    return float(best)
+    v_sqrt = np.sqrt(params.k_v ** (1.0 / params.beta) * state.v)
+    v_mean = float(wg @ v_sqrt) / geom.gamma_measure
+    den = float(wg @ (v_sqrt - v_mean) ** 2)
+    if den <= 1e-14:
+        return np.inf
+    u_sqrt = np.sqrt(params.k_u ** (1.0 / params.alpha) * state.u)
+    ut_sqrt = u_sqrt[geom.trace_cells]
+    u_mean = float(geom.omega_weights @ u_sqrt) / geom.omega_measure
+    jumps = u_sqrt[geom.omega_faces[:, 1]] - u_sqrt[geom.omega_faces[:, 0]]
+    num = (float(wg @ (ut_sqrt ** params.alpha - v_sqrt ** params.beta) ** 2)
+           + float(geom.omega_face_coeffs @ jumps ** 2)
+           + float(wg @ (ut_sqrt - u_mean) ** 2))
+    return num / den
 
 
 # --- explicit reference integrator ----------------------------------------

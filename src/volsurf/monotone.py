@@ -13,12 +13,18 @@ the recorded gap g_k is a certificate: the returned midpoint trajectory is
 within g_k/2 of the backward-Euler solution in sup norm. Each sweep's three
 ordering margins are measured as the sweep completes, against the pair
 before it, which is then dropped: a run holds at most two iterate pairs.
+A pair is one array indexed [time, sequence, unknown] over the stacked
+unknowns z = (u, v), so margins, gaps and the midpoint are each one
+expression over both species.
 
 The linear bulk and surface matrices are the same for every step of every
 sweep (Robin coefficient alpha*L_u, absorption beta*L_v, fixed dt), so one
 block matrix holding both is factored once per run, and the lower and upper
 sweeps of one outer iteration, which both read only iterate k-1, advance
 together as a two-column right-hand side.
+
+The comparison experiment advances its ordered pair of States together on
+one coupled stepper and compares each step as it arrives.
 """
 
 import dataclasses
@@ -30,7 +36,7 @@ from .errors import MonotoneConvergenceError
 from .grid import GridGeometry
 from .model import (ModelParams, State, constant_upper_solution,
                     lipschitz_bounds, shifted_f, shifted_g)
-from .stepper import StepConfig, _LinearStepper, integrate
+from .stepper import StepConfig, _LinearStepper, _march
 # unused here; bound because perfbench/tracing.py wraps them by name
 from .stepper import linear_bulk_step, linear_surface_step  # noqa: F401
 
@@ -90,37 +96,31 @@ class ComparisonVerdict:
     time: float
 
 
-def _sweep_pair(u0, v0, prev_u, prev_v, stepper, params, l_u, l_v):
+def _sweep_pair(z0, prev, stepper, params, l_u, l_v):
     """One outer sweep of the lower and the upper sequence together.
 
-    Stacks are indexed [time, sequence, cell]. Each sequence advances the
-    linear problems with sources frozen at its own previous iterate, sampled
-    at the new time level.
+    Stacks are indexed [time, sequence, unknown] with z = (u, v) along the
+    last axis. Each sequence advances the linear problems with sources
+    frozen at its own previous iterate, sampled at the new time level.
     """
-    tc = stepper.geom.trace_cells
-    u_traj = np.empty_like(prev_u)
-    v_traj = np.empty_like(prev_v)
-    u_traj[0] = u0
-    v_traj[0] = v0
-    for n in range(len(prev_u) - 1):
-        ut = prev_u[n + 1][:, tc]
-        vt = prev_v[n + 1]
-        u_traj[n + 1], v_traj[n + 1], _ = stepper.step(
-            u_traj[n], v_traj[n], shifted_f(params, l_u, ut, vt),
-            shifted_g(params, l_v, ut, vt))
-    return u_traj, v_traj
+    geom = stepper.geom
+    traj = np.empty_like(prev)
+    traj[0] = z0
+    for n in range(len(prev) - 1):
+        ut = prev[n + 1][:, geom.trace_cells]
+        vt = prev[n + 1][:, geom.n_omega:]
+        traj[n + 1] = stepper.step(traj[n], shifted_f(params, l_u, ut, vt),
+                                   shifted_g(params, l_v, ut, vt))
+    return traj
 
 
-def _ordering_margins(prev_u, prev_v, new_u, new_v):
+def _ordering_margins(prev, new):
     """Worst signed margins of the three ORDERINGS between the pair stacks
-    of iterates k-1 and k, indexed [time, sequence, cell] with the lower
+    of iterates k-1 and k, indexed [time, sequence, unknown] with the lower
     sequence first (negative is a violation)."""
-    def worst(below_u, below_v, above_u, above_v):
-        return float(min(np.min(above_u - below_u), np.min(above_v - below_v)))
-
-    return (worst(prev_u[:, 0], prev_v[:, 0], new_u[:, 0], new_v[:, 0]),
-            worst(new_u[:, 0], new_v[:, 0], new_u[:, 1], new_v[:, 1]),
-            worst(new_u[:, 1], new_v[:, 1], prev_u[:, 1], prev_v[:, 1]))
+    return tuple(float(np.min(above - below)) for below, above in
+                 ((prev[:, 0], new[:, 0]), (new[:, 0], new[:, 1]),
+                  (new[:, 1], prev[:, 1])))
 
 
 def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
@@ -158,20 +158,18 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
                              params.alpha * l_u, params.beta * l_v)
 
     report = IterationReport(times=times, bounds=(a_bound, b_bound))
-    # stacks of the (lower, upper) pair, indexed [time, sequence, cell]
-    pair_u = np.empty((n_steps + 1, 2, geom.n_omega))
-    pair_v = np.empty((n_steps + 1, 2, geom.n_gamma))
-    pair_u[:, 0], pair_u[:, 1] = 0.0, a_bound
-    pair_v[:, 0], pair_v[:, 1] = 0.0, b_bound
+    n_u = geom.n_omega
+    # the (lower, upper) pair, indexed [time, sequence, unknown]
+    pair = np.zeros((n_steps + 1, 2, n_u + geom.n_gamma))
+    pair[:, 1, :n_u], pair[:, 1, n_u:] = a_bound, b_bound
     report.gaps.append(max(a_bound, b_bound))
 
+    z0 = np.concatenate([state0.u, state0.v])
     for k in range(1, k_max + 1):
-        new_u, new_v = _sweep_pair(state0.u, state0.v, pair_u, pair_v,
-                                   stepper, params, l_u, l_v)
-        report.margins.append(_ordering_margins(pair_u, pair_v, new_u, new_v))
-        pair_u, pair_v = new_u, new_v
-        gap = max(float(np.max(np.abs(pair_u[:, 1] - pair_u[:, 0]))),
-                  float(np.max(np.abs(pair_v[:, 1] - pair_v[:, 0]))))
+        new = _sweep_pair(z0, pair, stepper, params, l_u, l_v)
+        report.margins.append(_ordering_margins(pair, new))
+        pair = new
+        gap = float(np.max(np.abs(pair[:, 1] - pair[:, 0])))
         report.gaps.append(gap)
         report.k_final = k
         if gap <= outer_tol:
@@ -183,12 +181,10 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
             f"{k_max} sweeps (raise k_max or shorten the horizon)",
             gaps=report.gaps)
 
-    report.lower_u, report.upper_u = pair_u[:, 0], pair_u[:, 1]
-    report.lower_v, report.upper_v = pair_v[:, 0], pair_v[:, 1]
-    mid_u = 0.5 * (report.upper_u + report.lower_u)
-    mid_v = 0.5 * (report.upper_v + report.lower_v)
-    solution = [State(np.maximum(mid_u[n], 0.0), np.maximum(mid_v[n], 0.0),
-                      float(times[n]))
+    report.lower_u, report.lower_v = pair[:, 0, :n_u], pair[:, 0, n_u:]
+    report.upper_u, report.upper_v = pair[:, 1, :n_u], pair[:, 1, n_u:]
+    mid = np.maximum(0.5 * (pair[:, 1] + pair[:, 0]), 0.0)
+    solution = [State(mid[n, :n_u], mid[n, n_u:], float(times[n]))
                 for n in range(n_steps + 1)]
     return solution, report
 
@@ -228,19 +224,16 @@ def comparison_experiment(state_low: State, state_high: State,
         raise ValueError("states must share the same time")
     scale = max(1.0, float(np.max(state_high.u)), float(np.max(state_high.v)))
 
-    low_steps = []
-    high_steps = []
-    integrate(state_low, geom, params, cfg, t_end, observer=low_steps.append)
-    integrate(state_high, geom, params, cfg, t_end, observer=high_steps.append)
-
+    # the pair advances together on one stepper and is compared as it
+    # arrives, so only the current two States are held
     worst = np.inf
     worst_time = state_low.time
-    for lo, hi in zip(low_steps, high_steps):
+    for lo, hi in _march((state_low, state_high), geom, params, cfg, t_end):
         margin = min(float(np.min(hi.u - lo.u)), float(np.min(hi.v - lo.v)))
         if margin < worst:
             worst = margin
             worst_time = lo.time
-    if not low_steps:
+    if worst == np.inf:  # no step was taken
         worst = 0.0
     return ComparisonVerdict(passed=bool(worst >= -COMPARISON_SLACK * scale),
                              worst_violation=float(worst), time=worst_time)

@@ -10,13 +10,15 @@ On the stacked unknowns z = (u, v) with masses M = (w, w_Gamma), every
 implicit matrix is diag(M/dt + shift) - D, where D = blockdiag(delta_u W L,
 delta_v W_Gamma L_Gamma) is assembled once per stepper by
 _weighted_diffusion. The linear substeps (frozen sources) have a fixed,
-block-diagonal matrix, so _LinearStepper factors it once and then solves per
-step, several trajectories at a time; linear_bulk_step and
-linear_surface_step are independent one-shot references. The fully coupled
-step runs Newton on z with exact power-law partials: diag(M/dt) - D is
-factored once per stepper, the rank-n_Gamma reaction part of the Jacobian
-goes through a dense capacitance solve per iteration (Woodbury; Hager, SIAM
-Review 1989). All factorizations go through linsolve.factor.
+block-diagonal matrix, so _LinearStepper factors it once and then maps
+z-stacks to z-stacks by one solve per step, several trajectories at a time;
+linear_bulk_step and linear_surface_step are independent one-shot
+references. The fully coupled step runs Newton on z with exact power-law
+partials: diag(M/dt) - D is factored once per stepper, the rank-n_Gamma
+reaction part of the Jacobian goes through a dense capacitance solve per
+iteration (Woodbury; Hager, SIAM Review 1989). All factorizations go through
+linsolve.factor. Several States advance together on one coupled stepper
+(_march); integrate is the case of one.
 """
 
 import dataclasses
@@ -95,12 +97,13 @@ def _weighted_diffusion(geom: GridGeometry, params: ModelParams) -> sp.csr_matri
 
 
 class _LinearStepper:
-    """Backward-Euler steps of the linear bulk and surface problems with the
-    Robin coefficient, the absorption and dt fixed.
+    """Backward-Euler steps of the linear bulk and surface problems on the
+    stacked unknowns z = (u, v), with the Robin coefficient, the absorption
+    and dt fixed.
 
     The two problems are decoupled, so one block matrix
     diag(M/dt + shift) - D holds both; it is assembled and factored once and
-    a step is a triangular solve. States may carry a leading axis of
+    a step is a triangular solve. A z-stack may carry leading axes of
     independent trajectories, which advance together as one multi-column
     right-hand side.
     """
@@ -111,32 +114,32 @@ class _LinearStepper:
         self.geom = geom
         self.dt = cfg.dt
         self.tol = cfg.linear_tol
-        self.rho = _as_gamma_array(robin_coeff, geom, "robin_coeff",
-                                   nonnegative=True)
+        rho = _as_gamma_array(robin_coeff, geom, "robin_coeff", nonnegative=True)
         a_coeff = _as_gamma_array(absorption, geom, "absorption",
                                   nonnegative=True)
         wg = geom.gamma_weights
         diag_shift = np.concatenate([geom.omega_weights / cfg.dt,
                                      wg * (1.0 / cfg.dt + a_coeff)])
-        np.add.at(diag_shift, geom.trace_cells, wg * self.rho)
+        np.add.at(diag_shift, geom.trace_cells, wg * rho)
         self.a = linsolve.assemble_shifted(_weighted_diffusion(geom, params),
                                            diag_shift, 1.0)
         self.lu = linsolve.factor(self.a)
 
-    def step(self, u_old, v_old, boundary_source, surface_source):
-        """Returns (u_new, v_new, boundary_flux); see linear_bulk_step and
+    def step(self, z_old, boundary_source, surface_source):
+        """The z-stack one step on, of the shape (..., n_Omega + n_Gamma) of
+        z_old; the sources are frozen, see linear_bulk_step and
         linear_surface_step."""
         geom = self.geom
+        n_u = geom.n_omega
         wg = geom.gamma_weights
-        rhs_u = geom.omega_weights * u_old / self.dt
+        rhs_u = geom.omega_weights * z_old[..., :n_u] / self.dt
         np.add.at(rhs_u.T, geom.trace_cells, (wg * boundary_source).T)
-        rhs = np.concatenate([rhs_u, wg * (v_old / self.dt + surface_source)],
-                             axis=-1).T
+        rhs = np.concatenate(
+            [rhs_u, wg * (z_old[..., n_u:] / self.dt + surface_source)],
+            axis=-1).T
         z = self.lu.solve(rhs)
         linsolve.check_residual(self.a, z, rhs, self.tol)
-        u_new, v_new = z.T[..., :geom.n_omega], z.T[..., geom.n_omega:]
-        return (u_new, v_new,
-                boundary_source - self.rho * u_new[..., geom.trace_cells])
+        return z.T
 
 
 def linear_bulk_step(u_old: np.ndarray, robin_coeff, boundary_source,
@@ -191,8 +194,9 @@ def linear_surface_step(v_old: np.ndarray, absorption, source,
 
 def semi_discrete_rhs(u: np.ndarray, v: np.ndarray, geom: GridGeometry,
                       params: ModelParams):
-    """Right-hand side of the spatially discretized system (shared by the
-    implicit steppers and the explicit reference integrator).
+    """Right-hand side of the spatially discretized system: the dense
+    oracle's independent right-hand side, which the implicit steppers do
+    not call.
 
     Powers are evaluated at max(., 0); the exact flow never leaves the
     nonnegative cone, the clip only guards transient solver excursions.
@@ -324,6 +328,31 @@ def coupled_step(state: State, geom: GridGeometry, params: ModelParams,
     return _CoupledStepper(geom, params, cfg).step(state)
 
 
+def _march(states, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
+           t_end: float):
+    """Advance a tuple of States sharing one start time to t_end on one
+    coupled stepper (one factorization), and yield the tuple of fresh States
+    after every step; see integrate for the step grid. A StepFailure of any
+    trajectory ends the march at that step."""
+    for state in states:
+        if state.u.shape != (geom.n_omega,) or state.v.shape != (geom.n_gamma,):
+            raise ValueError("state does not match geometry dimensions")
+    t0 = states[0].time
+    span = t_end - t0
+    if span < 0:
+        raise ValueError(f"t_end={t_end} is before state time {t0}")
+    if span == 0:
+        return
+    n_steps = max(1, int(round(span / cfg.dt)))
+    h = span / n_steps
+    stepper = _CoupledStepper(geom, params, dataclasses.replace(cfg, dt=h))
+    for i in range(n_steps):
+        states = tuple(stepper.step(state) for state in states)
+        for state in states:
+            state.time = t0 + (i + 1) * h  # avoid accumulation drift
+        yield states
+
+
 def integrate(state0: State, geom: GridGeometry, params: ModelParams,
               cfg: StepConfig, t_end: float, observer=None) -> State:
     """March the coupled stepper to t_end with uniform steps.
@@ -332,22 +361,10 @@ def integrate(state0: State, geom: GridGeometry, params: ModelParams,
     multiple of dt gives exactly dt-sized steps and diagnostics can rely on a
     uniform grid. The observer, if given, is called after every accepted step
     with that step's State, which is fresh and never modified afterwards, so
-    it may be kept without a copy.
+    it may be kept without a copy. This is the one-trajectory march.
     """
-    if state0.u.shape != (geom.n_omega,) or state0.v.shape != (geom.n_gamma,):
-        raise ValueError("state does not match geometry dimensions")
-    span = t_end - state0.time
-    if span < 0:
-        raise ValueError(f"t_end={t_end} is before state time {state0.time}")
-    if span == 0:
-        return state0
-    n_steps = max(1, int(round(span / cfg.dt)))
-    h = span / n_steps
-    stepper = _CoupledStepper(geom, params, dataclasses.replace(cfg, dt=h))
     state = state0
-    for i in range(n_steps):
-        state = stepper.step(state)
-        state.time = state0.time + (i + 1) * h  # avoid accumulation drift
+    for (state,) in _march((state0,), geom, params, cfg, t_end):
         if observer is not None:
             observer(state)
     return state

@@ -344,10 +344,10 @@ def test_10_degenerate_coupling(geometries):
             continue
         p = case_params(case)
         s0 = case_initial(case, g)
-        ratios = [audit_degenerate_coupling([s0], g, p)]
+        ratios = [audit_degenerate_coupling(s0, g, p)]
 
         def observe(state):
-            ratios.append(audit_degenerate_coupling([state], g, p))
+            ratios.append(audit_degenerate_coupling(state, g, p))
 
         integrate(s0, g, p, StepConfig(dt=1e-2), 10.0, observer=observe)
         worst = min(worst, *ratios)

@@ -55,12 +55,6 @@ def test_missing_config_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_config_given_twice_is_usage_error(tmp_path, capsys):
-    path = write_config(tmp_path, base_config())
-    assert main(["equilibrium", path, "--config", path]) == 2
-    assert "not both" in capsys.readouterr().err
-
-
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = base_config()
     cfg["step"]["newton_tolerance"] = 1e-9  # typo must not pass silently

@@ -3,15 +3,15 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from volsurf import monotone
-from volsurf.errors import MonotoneConvergenceError
+from volsurf.errors import MonotoneConvergenceError, StepFailure
 from volsurf.grid import build_interval, build_periodic_strip, trace
 from volsurf.model import (ModelParams, State, equilibrium_state,
                            lipschitz_bounds, shifted_f, shifted_g,
                            solve_equilibrium)
 from volsurf.monotone import (check_sandwich, comparison_experiment,
                               run_monotone)
-from volsurf.stepper import (StepConfig, integrate, linear_bulk_step,
-                             linear_surface_step)
+from volsurf.stepper import (StepConfig, _CoupledStepper, _march, integrate,
+                             linear_bulk_step, linear_surface_step)
 
 
 def test_zero_start_converges_immediately():
@@ -67,17 +67,20 @@ def test_monotone_limit_matches_newton_trajectory():
 
 
 def _spy_sweeps(monkeypatch, swap=False):
-    """Record each sweep's input and output pair stacks ([time, sequence,
-    cell], lower first); with swap, hand the two sequences back exchanged."""
+    """Record each sweep's input and output pair stacks, split at n_Omega
+    into (prev_u, prev_v, new_u, new_v), each [time, sequence, cell] with the
+    lower sequence first; with swap, hand the two sequences back exchanged."""
     sweeps = []
     real = monotone._sweep_pair
 
-    def spy(u0, v0, prev_u, prev_v, *args):
-        new_u, new_v = real(u0, v0, prev_u, prev_v, *args)
+    def spy(z0, prev, stepper, *args):
+        new = real(z0, prev, stepper, *args)
         if swap:
-            new_u, new_v = new_u[:, ::-1], new_v[:, ::-1]
-        sweeps.append((prev_u, prev_v, new_u, new_v))
-        return new_u, new_v
+            new = new[:, ::-1]
+        n_u = stepper.geom.n_omega
+        sweeps.append((prev[..., :n_u], prev[..., n_u:],
+                       new[..., :n_u], new[..., n_u:]))
+        return new
 
     monkeypatch.setattr(monotone, "_sweep_pair", spy)
     return sweeps
@@ -308,3 +311,55 @@ def test_comparison_validation():
     shifted = State(np.ones(g.n_omega) * 2.0, np.ones(g.n_gamma), time=1.0)
     with pytest.raises(ValueError):
         comparison_experiment(low, shifted, g, p, StepConfig(dt=0.1), 0.5)
+
+
+def test_comparison_factors_once_per_pair(monkeypatch):
+    built = []
+    real_init = _CoupledStepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CoupledStepper, "__init__", counting_init)
+    g = build_periodic_strip(8, 4, 1.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    low = State(np.full(g.n_omega, 0.5), np.full(g.n_gamma, 0.5))
+    high = State(np.full(g.n_omega, 1.5), np.full(g.n_gamma, 1.0))
+    verdict = comparison_experiment(low, high, g, p, StepConfig(dt=0.05), 0.5)
+    assert verdict.passed
+    assert len(built) == 1
+
+
+def test_marched_pair_matches_separate_integrations():
+    g = build_periodic_strip(16, 8, 1.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    rng = np.random.default_rng(23)
+    low = State(rng.uniform(0.0, 1.0, g.n_omega), rng.uniform(0.0, 1.0, g.n_gamma))
+    high = State(low.u + rng.uniform(0.0, 1.0, g.n_omega),
+                 low.v + rng.uniform(0.0, 1.0, g.n_gamma))
+    cfg = StepConfig(dt=0.02)
+    marched = list(_march((low, high), g, p, cfg, 0.3))
+    assert len(marched) == 15
+    for j, s0 in enumerate((low, high)):
+        alone = []
+        integrate(s0, g, p, cfg, 0.3, observer=alone.append)
+        assert len(alone) == len(marched)
+        for pair, ref in zip(marched, alone):
+            assert pair[j].time == ref.time
+            assert np.array_equal(pair[j].u, ref.u)
+            assert np.array_equal(pair[j].v, ref.v)
+
+
+def test_comparison_propagates_step_failure():
+    # the low state is a fixed point; one Newton iteration cannot carry the
+    # high state through a long step, so the first step fails
+    g = build_interval(4, 1.0)
+    p = ModelParams(alpha=3.0, beta=1.0, delta_u=1.0, delta_v=0.0)
+    low = State(np.zeros(g.n_omega), np.zeros(g.n_gamma))
+    high = State(np.full(g.n_omega, 5.0), np.zeros(g.n_gamma))
+    cfg = StepConfig(dt=10.0, newton_max_iter=1, newton_tol=1e-14)
+    integrate(low, g, p, cfg, 30.0)
+    with pytest.raises(StepFailure) as exc_info:
+        comparison_experiment(low, high, g, p, cfg, 30.0)
+    assert exc_info.value.time == 0.0
