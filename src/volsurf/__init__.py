@@ -23,7 +23,8 @@ from .model import (Equilibrium, ModelParams, State, ckp_constant,
                     lipschitz_bounds, mass, reaction_F, reaction_G,
                     shifted_f, shifted_g, solve_equilibrium)
 from .monotone import (ComparisonVerdict, IterationReport, SandwichVerdict,
-                       check_sandwich, comparison_experiment, run_monotone)
+                       check_sandwich, comparison_experiment, comparison_pairs,
+                       run_monotone)
 from .stepper import (StepConfig, coupled_step, integrate, linear_bulk_step,
                       linear_surface_step, semi_discrete_rhs)
 from .diagnostics import (RateFit, TraceSeries, audit_ckp,
@@ -49,7 +50,8 @@ __all__ = [
     "mass", "reaction_F", "reaction_G", "shifted_f", "shifted_g",
     "solve_equilibrium",
     "ComparisonVerdict", "IterationReport", "SandwichVerdict",
-    "check_sandwich", "comparison_experiment", "run_monotone",
+    "check_sandwich", "comparison_experiment", "comparison_pairs",
+    "run_monotone",
     "StepConfig", "coupled_step", "integrate", "linear_bulk_step",
     "linear_surface_step", "semi_discrete_rhs",
     "RateFit", "TraceSeries", "audit_ckp", "audit_degenerate_coupling",

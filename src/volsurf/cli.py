@@ -30,7 +30,7 @@ from .grid import build_interval, build_periodic_strip, build_polar_disk
 from .model import (ModelParams, State, ckp_constant, mass,
                     solve_equilibrium)
 from .monotone import (DEFAULT_K_MAX, DEFAULT_OUTER_TOL, check_sandwich,
-                       comparison_experiment, run_monotone)
+                       comparison_pairs, run_monotone)
 from .stepper import StepConfig, integrate
 
 __all__ = ["main", "load_config", "build_geometry", "build_params",
@@ -331,17 +331,17 @@ def _suite_sandwich(geom, params, state0, step_cfg, t_end, seed):
 def _suite_comparison(geom, params, state0, step_cfg, t_end, seed):
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.max(state0.u)), float(np.max(state0.v)))
-    worst = np.inf
+    pairs = []
     for _ in range(5):
         lo = State(rng.uniform(0.0, scale, geom.n_omega),
                    rng.uniform(0.0, scale, geom.n_gamma), state0.time)
         hi = State(lo.u + rng.uniform(0.0, scale, geom.n_omega),
                    lo.v + rng.uniform(0.0, scale, geom.n_gamma), state0.time)
-        verdict = comparison_experiment(lo, hi, geom, params, step_cfg, t_end)
-        worst = min(worst, verdict.worst_violation)
-        if not verdict.passed:
-            return False, {"worst_margin": worst}
-    return True, {"worst_margin": worst, "pairs": 5}
+        pairs.append((lo, hi))
+    verdicts = comparison_pairs(pairs, geom, params, step_cfg, t_end)
+    return all(v.passed for v in verdicts), {
+        "worst_margin": min(v.worst_violation for v in verdicts),
+        "pairs": len(pairs)}
 
 
 def _suite_oracle(geom, params, state0, step_cfg, t_end, seed):

@@ -23,7 +23,7 @@ block matrix holding both is factored once per run, and the lower and upper
 sweeps of one outer iteration, which both read only iterate k-1, advance
 together as a two-column right-hand side.
 
-The comparison experiment advances its ordered pair of States together on
+The comparison experiment advances its ordered pairs of States together on
 one coupled stepper and compares each step as it arrives.
 """
 
@@ -47,6 +47,7 @@ __all__ = [
     "run_monotone",
     "check_sandwich",
     "comparison_experiment",
+    "comparison_pairs",
 ]
 
 DEFAULT_OUTER_TOL = 1e-8
@@ -213,27 +214,42 @@ def check_sandwich(report: IterationReport) -> SandwichVerdict:
                            ordering=worst_ord, k=worst_k)
 
 
+def comparison_pairs(pairs, geom: GridGeometry, params: ModelParams,
+                     cfg: StepConfig, t_end: float) -> list:
+    """Integrate ordered pairs (low, high) of States together on one coupled
+    stepper and audit, pair by pair, that the ordering persists at every
+    accepted step. Returns one ComparisonVerdict per pair."""
+    for low, high in pairs:
+        if np.any(low.u > high.u) or np.any(low.v > high.v):
+            raise ValueError("state_low must be <= state_high entrywise")
+    scales = [max(1.0, float(np.max(high.u)), float(np.max(high.v)))
+              for _, high in pairs]
+
+    # the pairs advance together and are compared as they arrive, so only
+    # the current States are held
+    worst = [np.inf] * len(pairs)
+    worst_time = [low.time for low, _ in pairs]
+    states = tuple(state for pair in pairs for state in pair)
+    for marched in _march(states, geom, params, cfg, t_end):
+        for i, (lo, hi) in enumerate(zip(marched[::2], marched[1::2])):
+            margin = min(float(np.min(hi.u - lo.u)), float(np.min(hi.v - lo.v)))
+            if margin < worst[i]:
+                worst[i] = margin
+                worst_time[i] = lo.time
+    verdicts = []
+    for w, scale, time in zip(worst, scales, worst_time):
+        if w == np.inf:  # no step was taken
+            w = 0.0
+        verdicts.append(ComparisonVerdict(
+            passed=bool(w >= -COMPARISON_SLACK * scale),
+            worst_violation=float(w), time=time))
+    return verdicts
+
+
 def comparison_experiment(state_low: State, state_high: State,
                           geom: GridGeometry, params: ModelParams,
                           cfg: StepConfig, t_end: float) -> ComparisonVerdict:
     """Integrate an ordered pair with the coupled stepper and audit that the
-    ordering persists at every accepted step."""
-    if np.any(state_low.u > state_high.u) or np.any(state_low.v > state_high.v):
-        raise ValueError("state_low must be <= state_high entrywise")
-    if state_low.time != state_high.time:
-        raise ValueError("states must share the same time")
-    scale = max(1.0, float(np.max(state_high.u)), float(np.max(state_high.v)))
-
-    # the pair advances together on one stepper and is compared as it
-    # arrives, so only the current two States are held
-    worst = np.inf
-    worst_time = state_low.time
-    for lo, hi in _march((state_low, state_high), geom, params, cfg, t_end):
-        margin = min(float(np.min(hi.u - lo.u)), float(np.min(hi.v - lo.v)))
-        if margin < worst:
-            worst = margin
-            worst_time = lo.time
-    if worst == np.inf:  # no step was taken
-        worst = 0.0
-    return ComparisonVerdict(passed=bool(worst >= -COMPARISON_SLACK * scale),
-                             worst_violation=float(worst), time=worst_time)
+    ordering persists at every accepted step: the one-pair comparison."""
+    return comparison_pairs([(state_low, state_high)], geom, params, cfg,
+                            t_end)[0]

@@ -13,10 +13,14 @@ _weighted_diffusion. The linear substeps (frozen sources) have a fixed,
 block-diagonal matrix, so _LinearStepper factors it once and then maps
 z-stacks to z-stacks by one solve per step, several trajectories at a time;
 linear_bulk_step and linear_surface_step are independent one-shot
-references. The fully coupled step runs Newton on z with exact power-law
-partials: diag(M/dt) - D is factored once per stepper, the rank-n_Gamma
-reaction part of the Jacobian goes through a dense capacitance solve per
-iteration (Woodbury; Hager, SIAM Review 1989). All factorizations go through
+references. The fully coupled step runs Newton with exact power-law
+partials: K = diag(M/dt) - D is factored once per stepper, and the
+rank-n_Gamma reaction part of the Jacobian goes through a dense capacitance
+solve (Woodbury; Hager, SIAM Review 1989). The iterations run on the
+interface values only (the trace cells and the surface patches), reading the
+2 n_Gamma x n_Gamma interface rows of K^{-1}A, so a step that iterates does
+two sparse solves whatever its iteration count and the stepper stores
+O(n + n_Gamma^2) numbers; see _CoupledStepper. All factorizations go through
 linsolve.factor. Several States advance together on one coupled stepper
 (_march); integrate is the case of one.
 """
@@ -81,6 +85,12 @@ def _as_gamma_array(value, geom, name, nonnegative=False):
     if nonnegative and np.any(arr < 0):
         raise ValueError(f"{name} must be nonnegative")
     return arr
+
+
+# columns per chunk of the K^{-1}A solve at construction: enough for SuperLU's
+# multi-column solve to reach its per-column speed, few enough that the
+# transient stays O(n)
+_CHUNK_COLUMNS = 32
 
 
 def _weighted_diffusion(geom: GridGeometry, params: ModelParams) -> sp.csr_matrix:
@@ -215,11 +225,28 @@ def semi_discrete_rhs(u: np.ndarray, v: np.ndarray, geom: GridGeometry,
 class _CoupledStepper:
     """Reusable backward-Euler Newton stepper on z = (u, v).
 
-    The residual is (M/dt)(z - z_old) - D z plus the reaction at the trace
-    entries, so the Jacobian is K + A B^T: K = diag(M/dt) - D, column j of A
-    is w_Gamma,j (alpha e_tc(j) - beta e_patch(j)), column j of B holds the
-    partials of the rate r_j of patch j. K is factored and KA = K^{-1} A
-    solved once; J^{-1} x = y - KA c with y = K^{-1} x, (I + B^T KA) c = B^T y.
+    The residual is F(z) = (M/dt)(z - z_old) - D z + A r(z), with
+    K = diag(M/dt) - D factored once, column j of A equal to
+    w_Gamma,j (alpha e_tc(j) - beta e_patch(j)) and r_j the rate of patch j;
+    the Jacobian is K + A B^T, column j of B holding the partials of r_j.
+
+    Newton runs on the interface values zg = (u at the trace cells, v). A
+    pass starts from an iterate z with one sparse solve,
+    base = z + K^{-1}(-F(z)), and r0 = r(z). Every Newton iterate after z is
+    base - K^{-1}A p for some p in R^{n_Gamma}, with interface values
+    base_g - ka_interface p and residual exactly A (r - r0 - p), r the rates
+    there; ka_interface holds the rows of K^{-1}A at the trace cells and the
+    patches. The Woodbury form of J^{-1} (Hager, SIAM Review 1989) then
+    updates p by one dense n_Gamma x n_Gamma solve and no sparse one. Once
+    the interface residual meets the tolerance, a second sparse solve forms
+    z = base - K^{-1}(A p); it must meet the full residual test, else the
+    next pass starts from it.
+
+    Both sparse solves are in increment form: their right-hand sides, -F(z)
+    and A p, are the step's change, not the state. A solve's round-off
+    scales with its solution, so the weighted mass moves by round-off of the
+    change; solving for the state from scratch moves it by round-off of the
+    state, about a hundred times more over a thousand steps.
     """
 
     def __init__(self, geom: GridGeometry, params: ModelParams, cfg: StepConfig):
@@ -232,50 +259,82 @@ class _CoupledStepper:
         self.mass = np.concatenate([geom.omega_weights, geom.gamma_weights])
         self.diffusion = _weighted_diffusion(geom, params)
         self.lu = linsolve.factor(sp.diags(self.mass / cfg.dt) - self.diffusion)
-        patches = np.arange(n_g)
-        a = np.zeros((n_u + n_g, n_g))
-        a[geom.trace_cells, patches] = params.alpha * geom.gamma_weights
-        a[n_u + patches, patches] = -params.beta * geom.gamma_weights
-        self.ka = self.lu.solve(a)
+        # A's two entries per column: the trace cell of each patch, then the
+        # patch itself
+        self.interface = np.concatenate([geom.trace_cells, n_u + np.arange(n_g)])
+        wg = geom.gamma_weights
+        self.weights = np.concatenate([params.alpha * wg, -params.beta * wg])
+        # K^{-1}A is solved in column chunks and only its interface rows are
+        # kept, so neither the storage nor the transient is n x n_Gamma
+        rows, w = self.interface.reshape(2, n_g), self.weights.reshape(2, n_g)
+        blocks = []
+        for j in range(0, n_g, _CHUNK_COLUMNS):
+            cols = np.arange(j, min(j + _CHUNK_COLUMNS, n_g))
+            a = np.zeros((n_u + n_g, cols.size))
+            a[rows[:, cols], cols - j] = w[:, cols]
+            blocks.append(self.lu.solve(a)[self.interface])
+        self.ka_interface = np.concatenate(blocks, axis=1)
+
+    def _spread(self, x):
+        """A x for x in R^{n_Gamma}: the reaction weights times x at the
+        trace cells and the patches."""
+        return np.bincount(self.interface, self.weights * np.concatenate([x, x]),
+                           self.mass.size)
+
+    def _rates(self, zg):
+        """Rate of each patch at the interface values zg, powers of max(., 0)."""
+        p = self.params
+        n_g = self.geom.n_gamma
+        return (p.k_u * np.maximum(zg[:n_g], 0.0) ** p.alpha
+                - p.k_v * np.maximum(zg[n_g:], 0.0) ** p.beta)
 
     def _residual(self, z, z_old):
-        p = self.params
-        geom = self.geom
-        wg = geom.gamma_weights
-        ut = np.maximum(z[geom.trace_cells], 0.0)
-        vc = np.maximum(z[self.n_u:], 0.0)
-        r = p.k_u * ut ** p.alpha - p.k_v * vc ** p.beta
-        res = self.mass * (z - z_old) / self.cfg.dt - self.diffusion @ z
-        np.add.at(res, geom.trace_cells, wg * p.alpha * r)
-        res[self.n_u:] -= wg * p.beta * r
-        return res
+        return (self.mass * (z - z_old) / self.cfg.dt - self.diffusion @ z
+                + self._spread(self._rates(z[self.interface])))
 
-    def _partials(self, z):
-        """(dr/du, -dr/dv) per patch, arguments floored at DERIVATIVE_FLOOR."""
+    def _partials(self, zg):
+        """(dr/du, -dr/dv) per patch at the interface values zg, arguments
+        floored at DERIVATIVE_FLOOR."""
         p = self.params
-        ut = np.maximum(z[self.geom.trace_cells], DERIVATIVE_FLOOR)
-        vc = np.maximum(z[self.n_u:], DERIVATIVE_FLOOR)
+        n_g = self.geom.n_gamma
+        ut = np.maximum(zg[:n_g], DERIVATIVE_FLOOR)
+        vc = np.maximum(zg[n_g:], DERIVATIVE_FLOOR)
         return (p.k_u * p.alpha * ut ** (p.alpha - 1.0),
                 p.k_v * p.beta * vc ** (p.beta - 1.0))
 
-    def _newton_update(self, z, res):
-        """-J(z)^{-1} res through the capacitance system."""
-        tc, n_u = self.geom.trace_cells, self.n_u
-        dpu, dpv = self._partials(z)
-        y = self.lu.solve(-res)
-        cap = dpu[:, None] * self.ka[tc] - dpv[:, None] * self.ka[n_u:]
-        cap[np.diag_indices_from(cap)] += 1.0
+    def _interface_update(self, zg, g, dg=None):
+        """Newton increment of p at the interface values zg:
+        (I + B^T ka_interface)^{-1} (g + B^T dg), B the rate partials at zg.
+        g is the iterate's residual coefficient and dg the part of its
+        interface values that p does not carry: on the first iteration of a
+        pass g = 0 and dg is the first solve's change, after it dg = None."""
+        n_g = self.geom.n_gamma
+        ka = self.ka_interface
+        dpu, dpv = self._partials(zg)
+        cap = dpu[:, None] * ka[:n_g] - dpv[:, None] * ka[n_g:]
+        cap.flat[::n_g + 1] += 1.0
+        if dg is not None:
+            g = g + dpu * dg[:n_g] - dpv * dg[n_g:]
         try:
-            c = np.linalg.solve(cap, dpu * y[tc] - dpv * y[n_u:])
+            dp = np.linalg.solve(cap, g)
         except np.linalg.LinAlgError as exc:
             raise LinearSolverError("Newton capacitance system is singular") from exc
-        if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(dp)):
             raise LinearSolverError("Newton capacitance solve is not finite")
-        return y - self.ka @ c
+        return dp
+
+    def _tracked(self, res_norm, history, scale, time):
+        """Append res_norm to the history; raise StepFailure if it diverged."""
+        history.append(res_norm)
+        if not np.isfinite(res_norm) or res_norm > 1e8 * scale:
+            raise StepFailure(f"Newton diverged at t={time:g} (reduce dt)",
+                              residual_history=history, time=time)
+        return res_norm
 
     def step(self, state: State) -> State:
         cfg = self.cfg
         n_u = self.n_u
+        rows = self.interface
         z_old = np.concatenate([state.u, state.v])
         z = z_old
         res = self._residual(z, z_old)
@@ -288,27 +347,39 @@ class _CoupledStepper:
         scale = max(1.0, res_norm)
         target = cfg.newton_tol * scale
 
-        converged = res_norm <= target
         it = 0
-        while not converged:
-            if it >= cfg.newton_max_iter:
-                raise StepFailure(
-                    f"Newton did not reach tolerance in {cfg.newton_max_iter} "
-                    f"iterations at t={state.time:g} (reduce dt)",
-                    residual_history=history, time=state.time)
-            z_new = z + self._newton_update(z, res)
+        while res_norm > target:
+            # one pass: rebase at z, Newton on p, then form the iterate
+            y = self.lu.solve(-res)
+            base = z + y
+            base_g = base[rows]
+            zg = z[rows]
+            r0 = self._rates(zg)
+            p = np.zeros(self.geom.n_gamma)
+            g, dg = 0.0, y[rows]
+            while True:
+                if it >= cfg.newton_max_iter:
+                    raise StepFailure(
+                        f"Newton did not reach tolerance in {cfg.newton_max_iter} "
+                        f"iterations at t={state.time:g} (reduce dt)",
+                        residual_history=history, time=state.time)
+                it += 1
+                p_new = p + self._interface_update(zg, g, dg)
+                if np.array_equal(p_new, p):  # update below float resolution
+                    break
+                p, dg = p_new, None
+                zg = base_g - self.ka_interface @ p
+                g = self._rates(zg) - r0 - p
+                if self._tracked(float(np.linalg.norm(self._spread(g))),
+                                 history, scale, state.time) <= target:
+                    break
+            z_new = base - self.lu.solve(self._spread(p))
             if np.array_equal(z_new, z):  # update below float resolution
                 break
             z = z_new
             res = self._residual(z, z_old)
-            res_norm = float(np.linalg.norm(res))
-            history.append(res_norm)
-            if not np.isfinite(res_norm) or res_norm > 1e8 * scale:
-                raise StepFailure(
-                    f"Newton diverged at t={state.time:g} (reduce dt)",
-                    residual_history=history, time=state.time)
-            converged = res_norm <= target
-            it += 1
+            res_norm = self._tracked(float(np.linalg.norm(res)), history,
+                                     scale, state.time)
 
         mag = max(1.0, float(np.max(np.abs(z))))
         if np.any(z < -1e-12 * mag):
@@ -338,6 +409,8 @@ def _march(states, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
         if state.u.shape != (geom.n_omega,) or state.v.shape != (geom.n_gamma,):
             raise ValueError("state does not match geometry dimensions")
     t0 = states[0].time
+    if any(state.time != t0 for state in states):
+        raise ValueError("states must share the same time")
     span = t_end - t0
     if span < 0:
         raise ValueError(f"t_end={t_end} is before state time {t0}")

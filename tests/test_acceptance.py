@@ -134,6 +134,20 @@ def test_01_conservation(short_runs):
            f"worst relative drift {worst_drift:.2e}, slowest case {slowest:.2f}s")
 
 
+def test_long_run_mass_drift_is_round_off(long_runs):
+    # 1000 steps per case: a stepper whose solves return the state itself
+    # instead of its change drifts by round-off of the state, about 1e-13
+    bad = []
+    worst = 0.0
+    for case, series in long_runs.items():
+        m0 = series.mass[0]
+        drift = abs(series.mass[-1] - m0)
+        worst = max(worst, drift)
+        if drift > 1e-14 * max(1.0, m0):
+            bad.append(f"{label(case)} drift {drift:.2e}")
+    assert not bad, f"worst drift {worst:.2e}: {bad}"
+
+
 def test_02_entropy_decay_and_identity(short_runs, half_dt_runs):
     bad = []
     worst_ratio = np.inf

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import volsurf.cli as cli
 import volsurf.diagnostics as diagnostics
+import volsurf.monotone as monotone
 import volsurf.stepper as stepper
 from volsurf.cli import SUITES, main
 from volsurf.monotone import run_monotone
@@ -507,6 +508,46 @@ def test_verify_entropy_suites_pass_with_unequal_rate_constants(tmp_path, suite)
     path = write_config(tmp_path, cfg)
     assert main(["verify", path, "--suite", suite,
                  "--out", str(tmp_path)]) == 0
+
+
+def test_verify_comparison_builds_one_stepper(tmp_path, monkeypatch):
+    built = []
+    real_init = stepper._CoupledStepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stepper._CoupledStepper, "__init__", counting_init)
+    cfg = base_config(initial={"kind": "step", "u0": 1.0, "v0": 0.5,
+                               "amplitude": 0.4}, seed=7)
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--suite", "comparison",
+                 "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    metrics = json.loads((tmp_path / "verdict.json").read_text())["metrics"]
+    assert metrics["pairs"] == 5
+
+
+def test_verify_comparison_failure_reports_every_pair(tmp_path, monkeypatch):
+    # a negative slack demands a margin of at least the data scale, which no
+    # pair keeps; the reported worst margin is still taken over all 5 pairs
+    monkeypatch.setattr(monotone, "COMPARISON_SLACK", -1.0)
+    seen = []
+    real_pairs = cli.comparison_pairs
+    monkeypatch.setattr(cli, "comparison_pairs",
+                        lambda *a: seen.extend(real_pairs(*a)) or seen)
+    cfg = base_config(initial={"kind": "step", "u0": 1.0, "v0": 0.5,
+                               "amplitude": 0.4}, seed=7)
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--suite", "comparison",
+                 "--out", str(tmp_path)]) == 1
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["passed"] is False
+    assert len(seen) == 5 and not any(v.passed for v in seen)
+    margins = [v.worst_violation for v in seen]
+    assert len(set(margins)) == 5
+    assert verdict["metrics"]["worst_margin"] == min(margins)
 
 
 def test_verify_degenerate_suite_on_strip(tmp_path):

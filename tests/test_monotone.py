@@ -9,7 +9,7 @@ from volsurf.model import (ModelParams, State, equilibrium_state,
                            lipschitz_bounds, shifted_f, shifted_g,
                            solve_equilibrium)
 from volsurf.monotone import (check_sandwich, comparison_experiment,
-                              run_monotone)
+                              comparison_pairs, run_monotone)
 from volsurf.stepper import (StepConfig, _CoupledStepper, _march, integrate,
                              linear_bulk_step, linear_surface_step)
 
@@ -329,6 +329,22 @@ def test_comparison_factors_once_per_pair(monkeypatch):
     verdict = comparison_experiment(low, high, g, p, StepConfig(dt=0.05), 0.5)
     assert verdict.passed
     assert len(built) == 1
+
+
+def test_comparison_pairs_match_one_pair_experiments():
+    g = build_periodic_strip(8, 4, 1.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    rng = np.random.default_rng(29)
+    pairs = []
+    for shift in (0.0, 0.5, 2.0):
+        low = State(rng.uniform(0.0, 1.0, g.n_omega),
+                    rng.uniform(0.0, 1.0, g.n_gamma))
+        pairs.append((low, State(low.u + shift, low.v + shift)))
+    cfg = StepConfig(dt=0.05)
+    together = comparison_pairs(pairs, g, p, cfg, 0.5)
+    assert together == [comparison_experiment(lo, hi, g, p, cfg, 0.5)
+                        for lo, hi in pairs]
+    assert len({v.worst_violation for v in together}) == 3
 
 
 def test_marched_pair_matches_separate_integrations():

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
+import volsurf.stepper as stepper_module
+from volsurf import linsolve
 from volsurf.errors import LinearSolverError, StepFailure
 from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
 from volsurf.model import (ModelParams, State, entropy, equilibrium_state,
@@ -227,7 +229,7 @@ def assembled_jacobian(stepper, z):
     rows = np.concatenate([g.trace_cells, n_u + np.arange(n_g)])
     cols = np.tile(np.arange(n_g), 2)
     wg = g.gamma_weights
-    dpu, dpv = stepper._partials(z)
+    dpu, dpv = stepper._partials(z[stepper.interface])
     a = sp.csc_matrix((np.concatenate([p.alpha * wg, -p.beta * wg]),
                        (rows, cols)), shape=(n_u + n_g, n_g))
     b = sp.csc_matrix((np.concatenate([dpu, -dpv]), (rows, cols)),
@@ -272,14 +274,85 @@ def test_newton_jacobian_matches_finite_differences():
      ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0, k_v=0.2)),
 ], ids=["strip", "disk", "interval"])
 def test_capacitance_update_matches_sparse_solve(geom, params):
+    # two Newton iterations of one pass, each against a sparse solve of the
+    # assembled Jacobian: the first from an arbitrary z, the second from the
+    # iterate base - K^{-1}A p it produced, whose residual is A g
     stepper = _CoupledStepper(geom, params, StepConfig(dt=0.1))
+    rows = stepper.interface
     rng = np.random.default_rng(7)
     n = geom.n_omega + geom.n_gamma
     z = rng.uniform(0.2, 2.0, n)
-    res = stepper._residual(z, rng.uniform(0.2, 2.0, n))
+    z_old = rng.uniform(0.2, 2.0, n)
+
+    res = stepper._residual(z, z_old)
+    y = stepper.lu.solve(-res)
+    p = stepper._interface_update(z[rows], 0.0, y[rows])
+    z1 = z + y - stepper.lu.solve(stepper._spread(p))
     expected = spla.spsolve(assembled_jacobian(stepper, z), -res)
-    got = stepper._newton_update(z, res)
+    assert np.linalg.norm(z1 - z - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    zg1 = z[rows] + y[rows] - stepper.ka_interface @ p
+    assert np.allclose(zg1, z1[rows], rtol=1e-13, atol=0.0)
+    g = stepper._rates(zg1) - stepper._rates(z[rows]) - p
+    res1 = stepper._residual(z1, z_old)
+    assert np.allclose(res1, stepper._spread(g), rtol=0.0,
+                       atol=1e-12 * np.linalg.norm(res1))
+    dp = stepper._interface_update(zg1, g)
+    expected = spla.spsolve(assembled_jacobian(stepper, z1), -res1)
+    got = -stepper.lu.solve(stepper._spread(dp))
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_iterating_step_does_two_sparse_solves(monkeypatch):
+    g = build_periodic_strip(16, 8, 1.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=3.0, delta_u=1.0, delta_v=0.5)
+    rng = np.random.default_rng(4)
+    s = State(rng.uniform(0.2, 2.0, g.n_omega), rng.uniform(0.2, 2.0, g.n_gamma))
+    solves, updates = [], []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            if rhs.ndim == 1:  # the construction's column chunks are 2-D
+                solves.append(1)
+            return self.lu.solve(rhs)
+
+    real_factor = linsolve.factor
+    monkeypatch.setattr(linsolve, "factor", lambda a: CountingLU(real_factor(a)))
+    stepper = _CoupledStepper(g, p, StepConfig(dt=0.05))
+    real_update = stepper._interface_update
+    monkeypatch.setattr(stepper, "_interface_update",
+                        lambda *a: updates.append(1) or real_update(*a))
+    for _ in range(5):
+        solves.clear()
+        updates.clear()
+        s = stepper.step(s)
+        assert len(updates) >= 2  # several Newton iterations ...
+        assert len(solves) == 2   # ... and two sparse solves
+
+
+def test_chunked_interface_rows_match_one_solve(monkeypatch):
+    g = build_polar_disk(6, 12, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.3)
+    whole = _CoupledStepper(g, p, StepConfig(dt=0.1)).ka_interface
+    monkeypatch.setattr(stepper_module, "_CHUNK_COLUMNS", 5)
+    chunked = _CoupledStepper(g, p, StepConfig(dt=0.1)).ka_interface
+    assert chunked.shape == (2 * g.n_gamma, g.n_gamma)
+    assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
+
+
+def test_stepper_holds_no_dense_n_by_n_gamma_array():
+    g = build_periodic_strip(64, 32, 2.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    stepper = _CoupledStepper(g, p, StepConfig(dt=0.01))
+    stepper.step(State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5)))
+    limit = (g.n_omega + g.n_gamma) * g.n_gamma
+    sizes = {name: value.size for name, value in vars(stepper).items()
+             if isinstance(value, np.ndarray)}
+    assert "ka_interface" in sizes
+    assert max(sizes.values()) < limit, sizes
 
 
 @pytest.mark.parametrize("failure", ["nonfinite", "singular"])
