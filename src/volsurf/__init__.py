@@ -23,15 +23,13 @@ from .model import (Equilibrium, ModelParams, State, ckp_constant,
                     lipschitz_bounds, mass, reaction_F, reaction_G,
                     shifted_f, shifted_g, solve_equilibrium)
 from .monotone import (ComparisonVerdict, IterationReport, SandwichVerdict,
-                       check_sandwich, comparison_experiment, comparison_pairs,
-                       run_monotone)
-from .stepper import (StepConfig, coupled_step, integrate, linear_bulk_step,
+                       check_sandwich, comparison_pairs, run_monotone)
+from .stepper import (StepConfig, integrate, linear_bulk_step,
                       linear_surface_step, semi_discrete_rhs)
 from .diagnostics import (RateFit, TraceSeries, audit_ckp,
                           audit_degenerate_coupling,
                           check_entropy_dissipation_identity, dense_oracle,
-                          fit_rate, read_series_csv, record, write_rate_fit,
-                          write_series_csv)
+                          fit_rate, record, write_series_csv)
 
 __version__ = "0.1.0"
 
@@ -50,11 +48,10 @@ __all__ = [
     "mass", "reaction_F", "reaction_G", "shifted_f", "shifted_g",
     "solve_equilibrium",
     "ComparisonVerdict", "IterationReport", "SandwichVerdict",
-    "check_sandwich", "comparison_experiment", "comparison_pairs",
-    "run_monotone",
-    "StepConfig", "coupled_step", "integrate", "linear_bulk_step",
+    "check_sandwich", "comparison_pairs", "run_monotone",
+    "StepConfig", "integrate", "linear_bulk_step",
     "linear_surface_step", "semi_discrete_rhs",
     "RateFit", "TraceSeries", "audit_ckp", "audit_degenerate_coupling",
     "check_entropy_dissipation_identity", "dense_oracle", "fit_rate",
-    "read_series_csv", "record", "write_rate_fit", "write_series_csv",
+    "record", "write_series_csv",
 ]

@@ -22,7 +22,7 @@ from .grid import GridGeometry
 from .model import (Equilibrium, ModelParams, State, ckp_constant,
                     dissipation, entropy, entropy_decomposition,
                     equilibrium_entropy, mass, solve_equilibrium)
-from .stepper import StepConfig, integrate, semi_discrete_rhs
+from .stepper import StepConfig, _stacked, integrate, semi_discrete_rhs
 
 __all__ = [
     "TraceSeries",
@@ -34,8 +34,6 @@ __all__ = [
     "audit_degenerate_coupling",
     "dense_oracle",
     "write_series_csv",
-    "read_series_csv",
-    "write_rate_fit",
 ]
 
 SERIES_COLUMNS = ("t", "mass", "E", "D", "E_rel", "I1", "I2", "L1_u", "L1_v")
@@ -237,8 +235,7 @@ def dense_oracle(state0: State, geom: GridGeometry, params: ModelParams,
     if n_tot > MAX_ORACLE_UNKNOWNS:
         raise ValueError(
             f"oracle limited to {MAX_ORACLE_UNKNOWNS} unknowns, got {n_tot}")
-    if state0.u.shape != (geom.n_omega,) or state0.v.shape != (geom.n_gamma,):
-        raise ValueError("state does not match geometry dimensions")
+    z0 = _stacked(state0, geom)
     span = t_end - state0.time
     if span < 0:
         raise ValueError(f"t_end={t_end} is before state time {state0.time}")
@@ -266,7 +263,6 @@ def dense_oracle(state0: State, geom: GridGeometry, params: ModelParams,
 
     seg = span / (n_checkpoints - 1)
     times = state0.time + seg * np.arange(n_checkpoints)
-    z0 = np.concatenate([state0.u, state0.v]).astype(float)
     sol = solve_ivp(rhs, (times[0], times[-1]), z0, method="DOP853",
                     t_eval=times, rtol=1e-13, atol=1e-15)
     if sol.status < 0:
@@ -291,7 +287,7 @@ def dense_oracle(state0: State, geom: GridGeometry, params: ModelParams,
     return out
 
 
-# --- plain-text export -----------------------------------------------------
+# --- CSV export -----------------------------------------------------------
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -305,27 +301,3 @@ def write_series_csv(series: TraceSeries, path):
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         for row in zip(*cols):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def read_series_csv(path):
-    """Read a series CSV back into a dict of column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [[] for _ in header]
-        for line in fh:
-            if not line.strip():
-                continue
-            for slot, tok in zip(data, line.strip().split(",")):
-                slot.append(float(tok))
-    return {name: np.array(vals) for name, vals in zip(header, data)}
-
-
-def write_rate_fit(fit: RateFit, path):
-    """Flat key-value text form of a RateFit."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"C0_emp={_fmt(fit.c0_emp)}\n")
-        fh.write(f"r_squared={_fmt(fit.r_squared)}\n")
-        fh.write(f"window_start={_fmt(fit.window[0])}\n")
-        fh.write(f"window_end={_fmt(fit.window[1])}\n")
-        fh.write(f"eed_min={_fmt(fit.eed_min)}\n")
-        fh.write(f"intercept={_fmt(fit.intercept)}\n")

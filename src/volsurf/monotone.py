@@ -23,8 +23,9 @@ block matrix holding both is factored once per run, and the lower and upper
 sweeps of one outer iteration, which both read only iterate k-1, advance
 together as a two-column right-hand side.
 
-The comparison experiment advances its ordered pairs of States together on
-one coupled stepper and compares each step as it arrives.
+The comparison experiment marches its ordered pairs of States as one z-stack
+on one coupled stepper (stepper._march), low and high in alternate rows, and
+compares each step as it arrives; one pair is the case of a one-item list.
 """
 
 import dataclasses
@@ -36,7 +37,8 @@ from .errors import MonotoneConvergenceError
 from .grid import GridGeometry
 from .model import (ModelParams, State, constant_upper_solution,
                     lipschitz_bounds, shifted_f, shifted_g)
-from .stepper import StepConfig, _LinearStepper, _march
+from .stepper import (StepConfig, _LinearStepper, _march, _stacked,
+                      _step_grid)
 # unused here; bound because perfbench/tracing.py wraps them by name
 from .stepper import linear_bulk_step, linear_surface_step  # noqa: F401
 
@@ -46,7 +48,6 @@ __all__ = [
     "ComparisonVerdict",
     "run_monotone",
     "check_sandwich",
-    "comparison_experiment",
     "comparison_pairs",
 ]
 
@@ -78,7 +79,6 @@ class IterationReport:
     upper_u: np.ndarray = None
     upper_v: np.ndarray = None
     bounds: tuple = (0.0, 0.0)
-    converged: bool = False
     k_final: int = 0
 
 
@@ -135,8 +135,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     and ordering margins and the final pair. Raises MonotoneConvergenceError
     (gap sequence attached) if k_max sweeps do not reach outer_tol.
     """
-    if state0.u.shape != (geom.n_omega,) or state0.v.shape != (geom.n_gamma,):
-        raise ValueError("state does not match geometry dimensions")
+    z0 = _stacked(state0, geom)
     if t_horizon <= 0:
         raise ValueError(f"t_horizon must be positive, got {t_horizon}")
     if not outer_tol > 0:
@@ -144,9 +143,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    n_steps = max(1, int(round(t_horizon / cfg.dt)))
-    h = t_horizon / n_steps
-    times = state0.time + h * np.arange(n_steps + 1)
+    h, times = _step_grid(state0.time, t_horizon, cfg.dt)
 
     sup_u0 = float(np.max(state0.u))
     sup_v0 = float(np.max(state0.v))
@@ -161,11 +158,10 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     report = IterationReport(times=times, bounds=(a_bound, b_bound))
     n_u = geom.n_omega
     # the (lower, upper) pair, indexed [time, sequence, unknown]
-    pair = np.zeros((n_steps + 1, 2, n_u + geom.n_gamma))
+    pair = np.zeros((len(times), 2, z0.size))
     pair[:, 1, :n_u], pair[:, 1, n_u:] = a_bound, b_bound
     report.gaps.append(max(a_bound, b_bound))
 
-    z0 = np.concatenate([state0.u, state0.v])
     for k in range(1, k_max + 1):
         new = _sweep_pair(z0, pair, stepper, params, l_u, l_v)
         report.margins.append(_ordering_margins(pair, new))
@@ -174,7 +170,6 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
         report.gaps.append(gap)
         report.k_final = k
         if gap <= outer_tol:
-            report.converged = True
             break
     else:
         raise MonotoneConvergenceError(
@@ -185,8 +180,8 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     report.lower_u, report.lower_v = pair[:, 0, :n_u], pair[:, 0, n_u:]
     report.upper_u, report.upper_v = pair[:, 1, :n_u], pair[:, 1, n_u:]
     mid = np.maximum(0.5 * (pair[:, 1] + pair[:, 0]), 0.0)
-    solution = [State(mid[n, :n_u], mid[n, n_u:], float(times[n]))
-                for n in range(n_steps + 1)]
+    solution = [State(z[:n_u], z[n_u:], t)
+                for z, t in zip(mid, times.tolist())]
     return solution, report
 
 
@@ -226,30 +221,15 @@ def comparison_pairs(pairs, geom: GridGeometry, params: ModelParams,
               for _, high in pairs]
 
     # the pairs advance together and are compared as they arrive, so only
-    # the current States are held
-    worst = [np.inf] * len(pairs)
-    worst_time = [low.time for low, _ in pairs]
-    states = tuple(state for pair in pairs for state in pair)
-    for marched in _march(states, geom, params, cfg, t_end):
-        for i, (lo, hi) in enumerate(zip(marched[::2], marched[1::2])):
-            margin = min(float(np.min(hi.u - lo.u)), float(np.min(hi.v - lo.v)))
-            if margin < worst[i]:
-                worst[i] = margin
-                worst_time[i] = lo.time
-    verdicts = []
-    for w, scale, time in zip(worst, scales, worst_time):
-        if w == np.inf:  # no step was taken
-            w = 0.0
-        verdicts.append(ComparisonVerdict(
-            passed=bool(w >= -COMPARISON_SLACK * scale),
-            worst_violation=float(w), time=time))
-    return verdicts
-
-
-def comparison_experiment(state_low: State, state_high: State,
-                          geom: GridGeometry, params: ModelParams,
-                          cfg: StepConfig, t_end: float) -> ComparisonVerdict:
-    """Integrate an ordered pair with the coupled stepper and audit that the
-    ordering persists at every accepted step: the one-pair comparison."""
-    return comparison_pairs([(state_low, state_high)], geom, params, cfg,
-                            t_end)[0]
+    # the current z-stack is held
+    worst = np.full(len(pairs), np.inf)
+    worst_time = np.array([low.time for low, _ in pairs], dtype=float)
+    states = [state for pair in pairs for state in pair]
+    for time, z in _march(states, geom, params, cfg, t_end):
+        margins = np.min(z[1::2] - z[::2], axis=1)
+        worst_time = np.where(margins < worst, time, worst_time)
+        worst = np.minimum(worst, margins)
+    worst[worst == np.inf] = 0.0  # no step was taken
+    return [ComparisonVerdict(passed=bool(w >= -COMPARISON_SLACK * scale),
+                              worst_violation=float(w), time=float(t))
+            for w, scale, t in zip(worst, scales, worst_time)]

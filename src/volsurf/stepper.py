@@ -9,10 +9,10 @@ tolerances:
 On the stacked unknowns z = (u, v) with masses M = (w, w_Gamma), every
 implicit matrix is diag(M/dt + shift) - D, where D = blockdiag(delta_u W L,
 delta_v W_Gamma L_Gamma) is assembled once per stepper by
-_weighted_diffusion. The linear substeps (frozen sources) have a fixed,
-block-diagonal matrix, so _LinearStepper factors it once and then maps
-z-stacks to z-stacks by one solve per step, several trajectories at a time;
-linear_bulk_step and linear_surface_step are independent one-shot
+_weighted_diffusion. Both steppers map z-stacks to z-stacks, a leading axis
+holding trajectories. The linear substeps (frozen sources) have a fixed,
+block-diagonal matrix, so _LinearStepper factors it once and a step is one
+solve; linear_bulk_step and linear_surface_step are independent one-shot
 references. The fully coupled step runs Newton with exact power-law
 partials: K = diag(M/dt) - D is factored once per stepper, and the
 rank-n_Gamma reaction part of the Jacobian goes through a dense capacitance
@@ -21,8 +21,8 @@ interface values only (the trace cells and the surface patches), reading the
 2 n_Gamma x n_Gamma interface rows of K^{-1}A, so a step that iterates does
 two sparse solves whatever its iteration count and the stepper stores
 O(n + n_Gamma^2) numbers; see _CoupledStepper. All factorizations go through
-linsolve.factor. Several States advance together on one coupled stepper
-(_march); integrate is the case of one.
+linsolve.factor. _march advances States as one z-stack on one coupled
+stepper; integrate is its one-State case and builds the States.
 """
 
 import dataclasses
@@ -40,7 +40,6 @@ __all__ = [
     "StepConfig",
     "linear_bulk_step",
     "linear_surface_step",
-    "coupled_step",
     "integrate",
     "semi_discrete_rhs",
 ]
@@ -85,6 +84,21 @@ def _as_gamma_array(value, geom, name, nonnegative=False):
     if nonnegative and np.any(arr < 0):
         raise ValueError(f"{name} must be nonnegative")
     return arr
+
+
+def _stacked(state: State, geom: GridGeometry) -> np.ndarray:
+    """The stacked unknowns z = (u, v) of a State on geom."""
+    if state.u.shape != (geom.n_omega,) or state.v.shape != (geom.n_gamma,):
+        raise ValueError("state does not match geometry dimensions")
+    return np.concatenate([state.u, state.v])
+
+
+def _step_grid(t0: float, span: float, dt: float):
+    """(h, times) of the uniform grid of round(span/dt) >= 1 steps over
+    [t0, t0 + span]: a span that is a multiple of dt gives dt-sized steps."""
+    n_steps = max(1, int(round(span / dt)))
+    h = span / n_steps
+    return h, t0 + h * np.arange(n_steps + 1)
 
 
 # columns per chunk of the K^{-1}A solve at construction: enough for SuperLU's
@@ -223,7 +237,8 @@ def semi_discrete_rhs(u: np.ndarray, v: np.ndarray, geom: GridGeometry,
 
 
 class _CoupledStepper:
-    """Reusable backward-Euler Newton stepper on z = (u, v).
+    """Reusable backward-Euler Newton stepper on z = (u, v): step maps a
+    z-stack to the z-stack one step on, as _LinearStepper.step does.
 
     The residual is F(z) = (M/dt)(z - z_old) - D z + A r(z), with
     K = diag(M/dt) - D factored once, column j of A equal to
@@ -255,7 +270,6 @@ class _CoupledStepper:
         self.params = params
         self.cfg = cfg
         n_u, n_g = geom.n_omega, geom.n_gamma
-        self.n_u = n_u
         self.mass = np.concatenate([geom.omega_weights, geom.gamma_weights])
         self.diffusion = _weighted_diffusion(geom, params)
         self.lu = linsolve.factor(sp.diags(self.mass / cfg.dt) - self.diffusion)
@@ -331,19 +345,24 @@ class _CoupledStepper:
                               residual_history=history, time=time)
         return res_norm
 
-    def step(self, state: State) -> State:
+    def step(self, z_old, time):
+        """The z-stack one step on from time, z_old indexed [trajectory,
+        unknown]; each trajectory runs its own Newton iteration, one after
+        another."""
+        return np.stack([self._newton(z, time) for z in z_old])
+
+    def _newton(self, z_old, time):
+        """The new z of one trajectory, from z_old at time."""
         cfg = self.cfg
-        n_u = self.n_u
         rows = self.interface
-        z_old = np.concatenate([state.u, state.v])
         z = z_old
         res = self._residual(z, z_old)
         res_norm = float(np.linalg.norm(res))
         history = [res_norm]
         if not np.isfinite(res_norm):  # the data overflow the reaction rates
             raise StepFailure(
-                f"Newton residual is not finite at t={state.time:g}",
-                residual_history=history, time=state.time)
+                f"Newton residual is not finite at t={time:g}",
+                residual_history=history, time=time)
         scale = max(1.0, res_norm)
         target = cfg.newton_tol * scale
 
@@ -361,8 +380,8 @@ class _CoupledStepper:
                 if it >= cfg.newton_max_iter:
                     raise StepFailure(
                         f"Newton did not reach tolerance in {cfg.newton_max_iter} "
-                        f"iterations at t={state.time:g} (reduce dt)",
-                        residual_history=history, time=state.time)
+                        f"iterations at t={time:g} (reduce dt)",
+                        residual_history=history, time=time)
                 it += 1
                 p_new = p + self._interface_update(zg, g, dg)
                 if np.array_equal(p_new, p):  # update below float resolution
@@ -371,7 +390,7 @@ class _CoupledStepper:
                 zg = base_g - self.ka_interface @ p
                 g = self._rates(zg) - r0 - p
                 if self._tracked(float(np.linalg.norm(self._spread(g))),
-                                 history, scale, state.time) <= target:
+                                 history, scale, time) <= target:
                     break
             z_new = base - self.lu.solve(self._spread(p))
             if np.array_equal(z_new, z):  # update below float resolution
@@ -379,35 +398,25 @@ class _CoupledStepper:
             z = z_new
             res = self._residual(z, z_old)
             res_norm = self._tracked(float(np.linalg.norm(res)), history,
-                                     scale, state.time)
+                                     scale, time)
 
         mag = max(1.0, float(np.max(np.abs(z))))
         if np.any(z < -1e-12 * mag):
             raise StepFailure(
                 f"negative concentrations beyond tolerance at "
-                f"t={state.time + cfg.dt:g} (reduce dt)",
-                residual_history=history, time=state.time)
-        z = np.maximum(z, 0.0)
-        return State(z[:n_u], z[n_u:], state.time + cfg.dt)
-
-
-def coupled_step(state: State, geom: GridGeometry, params: ModelParams,
-                 cfg: StepConfig) -> State:
-    """One fully implicit step of the coupled nonlinear system."""
-    if state.u.shape != (geom.n_omega,) or state.v.shape != (geom.n_gamma,):
-        raise ValueError("state does not match geometry dimensions")
-    return _CoupledStepper(geom, params, cfg).step(state)
+                f"t={time + cfg.dt:g} (reduce dt)",
+                residual_history=history, time=time)
+        return np.maximum(z, 0.0)
 
 
 def _march(states, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
            t_end: float):
-    """Advance a tuple of States sharing one start time to t_end on one
-    coupled stepper (one factorization), and yield the tuple of fresh States
-    after every step; see integrate for the step grid. A StepFailure of any
-    trajectory ends the march at that step."""
-    for state in states:
-        if state.u.shape != (geom.n_omega,) or state.v.shape != (geom.n_gamma,):
-            raise ValueError("state does not match geometry dimensions")
+    """Advance States sharing one start time to t_end on one coupled stepper
+    (one factorization), held as one z-stack indexed [trajectory, unknown].
+    Yields (time, z) after every step of _step_grid, z a fresh stack that is
+    never modified afterwards. A StepFailure of any trajectory ends the
+    march at that step."""
+    z = np.stack([_stacked(state, geom) for state in states])
     t0 = states[0].time
     if any(state.time != t0 for state in states):
         raise ValueError("states must share the same time")
@@ -416,28 +425,26 @@ def _march(states, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
         raise ValueError(f"t_end={t_end} is before state time {t0}")
     if span == 0:
         return
-    n_steps = max(1, int(round(span / cfg.dt)))
-    h = span / n_steps
+    h, times = _step_grid(t0, span, cfg.dt)
     stepper = _CoupledStepper(geom, params, dataclasses.replace(cfg, dt=h))
-    for i in range(n_steps):
-        states = tuple(stepper.step(state) for state in states)
-        for state in states:
-            state.time = t0 + (i + 1) * h  # avoid accumulation drift
-        yield states
+    for time, t_new in zip(times[:-1].tolist(), times[1:].tolist()):
+        z = stepper.step(z, time)
+        yield t_new, z
 
 
 def integrate(state0: State, geom: GridGeometry, params: ModelParams,
               cfg: StepConfig, t_end: float, observer=None) -> State:
-    """March the coupled stepper to t_end with uniform steps.
+    """March state0 to t_end on the uniform grid of _step_grid, so
+    diagnostics can rely on equal steps; the one-trajectory _march.
 
-    The step count is round((t_end - t0)/dt), so requesting a t_end that is a
-    multiple of dt gives exactly dt-sized steps and diagnostics can rely on a
-    uniform grid. The observer, if given, is called after every accepted step
-    with that step's State, which is fresh and never modified afterwards, so
-    it may be kept without a copy. This is the one-trajectory march.
+    The observer, if given, is called after every accepted step with that
+    step's State, which is fresh and never modified afterwards, so it may be
+    kept without a copy.
     """
+    n_u = geom.n_omega
     state = state0
-    for (state,) in _march((state0,), geom, params, cfg, t_end):
+    for time, z in _march((state0,), geom, params, cfg, t_end):
+        state = State(z[0, :n_u], z[0, n_u:], time)
         if observer is not None:
             observer(state)
     return state

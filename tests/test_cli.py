@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import volsurf
 import volsurf.cli as cli
 import volsurf.diagnostics as diagnostics
 import volsurf.monotone as monotone
@@ -45,6 +46,11 @@ def test_no_arguments_prints_help(capsys):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in volsurf.__all__ if not hasattr(volsurf, name)]
+    assert missing == []
 
 
 def test_unknown_subcommand():

@@ -1,12 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
 import volsurf.diagnostics as diagnostics
-from volsurf.diagnostics import (RateFit, TraceSeries, audit_ckp,
+from volsurf.diagnostics import (TraceSeries, audit_ckp,
                                  audit_degenerate_coupling,
                                  check_entropy_dissipation_identity,
-                                 dense_oracle, fit_rate, read_series_csv,
-                                 record, write_rate_fit, write_series_csv)
+                                 dense_oracle, fit_rate, record,
+                                 write_series_csv)
 from volsurf.errors import OracleFailure
 from volsurf.grid import build_interval, build_periodic_strip
 from volsurf.model import (Equilibrium, ModelParams, State, equilibrium_state,
@@ -332,23 +334,11 @@ def test_series_csv_roundtrip_exact(tmp_path):
     series, _, _ = interval_run(t_end=0.1)
     path = tmp_path / "series.csv"
     write_series_csv(series, path)
-    back = read_series_csv(path)
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    back = dict(zip(header, np.array(rows, dtype=float).T))
     assert list(back) == list(diagnostics.SERIES_COLUMNS)
     assert np.array_equal(back["t"], series.times)
     assert np.array_equal(back["E"], series.entropy)
     assert np.array_equal(back["D"], series.dissipation)
     assert np.array_equal(back["L1_v"], series.l1_v)
-
-
-def test_rate_fit_export(tmp_path):
-    fit = RateFit(c0_emp=2.5, r_squared=0.999, window=(0.3, 2.0),
-                  eed_min=1.75, intercept=-0.25)
-    path = tmp_path / "fit.txt"
-    write_rate_fit(fit, path)
-    parsed = dict(line.split("=") for line in path.read_text().splitlines())
-    assert float(parsed["C0_emp"]) == 2.5
-    assert float(parsed["r_squared"]) == 0.999
-    assert float(parsed["window_start"]) == 0.3
-    assert float(parsed["window_end"]) == 2.0
-    assert float(parsed["eed_min"]) == 1.75
-    assert float(parsed["intercept"]) == -0.25

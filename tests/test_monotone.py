@@ -8,8 +8,7 @@ from volsurf.grid import build_interval, build_periodic_strip, trace
 from volsurf.model import (ModelParams, State, equilibrium_state,
                            lipschitz_bounds, shifted_f, shifted_g,
                            solve_equilibrium)
-from volsurf.monotone import (check_sandwich, comparison_experiment,
-                              comparison_pairs, run_monotone)
+from volsurf.monotone import check_sandwich, comparison_pairs, run_monotone
 from volsurf.stepper import (StepConfig, _CoupledStepper, _march, integrate,
                              linear_bulk_step, linear_surface_step)
 
@@ -19,7 +18,6 @@ def test_zero_start_converges_immediately():
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s0 = State(np.zeros(g.n_omega), np.zeros(g.n_gamma))
     solution, report = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.5)
-    assert report.converged
     assert report.k_final == 1
     assert report.bounds == (0.0, 0.0)
     for s in solution:
@@ -36,7 +34,6 @@ def test_equilibrium_start_is_sandwiched_fixed_point():
     tol = 1e-8
     solution, report = run_monotone(s0, g, p, StepConfig(dt=0.05), 0.5,
                                     outer_tol=tol)
-    assert report.converged
     gaps = np.asarray(report.gaps)
     assert np.all(np.diff(gaps) < 0.0)
     for s in solution:
@@ -52,7 +49,6 @@ def test_monotone_limit_matches_newton_trajectory():
     cfg = StepConfig(dt=0.01)
     tol = 1e-8
     solution, report = run_monotone(s0, g, p, cfg, 0.5, outer_tol=tol)
-    assert report.converged
     assert report.k_final == 20  # the criterion-6 instance
     assert check_sandwich(report).passed
 
@@ -126,13 +122,25 @@ def test_nonconvergence_raises_with_gap_history():
     assert all(gap >= 0.0 for gap in gaps)
 
 
+def test_monotone_times_match_integrate_on_uneven_horizon():
+    # 0.5 is not a multiple of 0.03: both round to 17 steps of 0.5/17
+    g = build_interval(6, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
+    s0 = State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5))
+    cfg = StepConfig(dt=0.03)
+    _, report = run_monotone(s0, g, p, cfg, 0.5)
+    seen = []
+    integrate(s0, g, p, cfg, 0.5, observer=lambda s: seen.append(s.time))
+    assert len(seen) == 17
+    assert report.times[1:].tolist() == seen
+
+
 def test_huge_tolerance_accepts_single_sweep():
     g = build_interval(6, 1.0)
     p = ModelParams(alpha=1.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s0 = State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5))
     _, report = run_monotone(s0, g, p, StepConfig(dt=0.1), 0.2,
                              outer_tol=100.0, k_max=1)
-    assert report.converged
     assert report.k_final == 1
     assert check_sandwich(report).passed
 
@@ -274,8 +282,8 @@ def test_comparison_identical_states():
     g = build_interval(8, 1.0)
     p = ModelParams(alpha=1.0, beta=1.0, delta_u=1.0, delta_v=0.0)
     s = State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5))
-    verdict = comparison_experiment(s.copy(), s.copy(), g, p,
-                                    StepConfig(dt=0.05), 0.5)
+    verdict, = comparison_pairs([(s.copy(), s.copy())], g, p,
+                                StepConfig(dt=0.05), 0.5)
     assert verdict.passed
     assert abs(verdict.worst_violation) <= 1e-10
 
@@ -286,7 +294,7 @@ def test_comparison_ordered_pair_stays_ordered():
     rng = np.random.default_rng(13)
     low = State(rng.uniform(0.1, 1.0, g.n_omega), rng.uniform(0.1, 1.0, g.n_gamma))
     high = State(low.u + 0.5, low.v + 0.5)
-    verdict = comparison_experiment(low, high, g, p, StepConfig(dt=0.02), 0.5)
+    verdict, = comparison_pairs([(low, high)], g, p, StepConfig(dt=0.02), 0.5)
     assert verdict.passed
     assert verdict.worst_violation >= -1e-8
 
@@ -297,7 +305,7 @@ def test_comparison_zero_floor_keeps_solutions_nonnegative():
     zero = State(np.zeros(g.n_omega), np.zeros(g.n_gamma))
     rng = np.random.default_rng(17)
     high = State(rng.uniform(0.0, 2.0, g.n_omega), rng.uniform(0.0, 2.0, g.n_gamma))
-    verdict = comparison_experiment(zero, high, g, p, StepConfig(dt=0.02), 0.5)
+    verdict, = comparison_pairs([(zero, high)], g, p, StepConfig(dt=0.02), 0.5)
     assert verdict.passed
 
 
@@ -307,10 +315,10 @@ def test_comparison_validation():
     low = State(np.ones(g.n_omega), np.ones(g.n_gamma))
     high = State(np.zeros(g.n_omega), np.zeros(g.n_gamma))
     with pytest.raises(ValueError):
-        comparison_experiment(low, high, g, p, StepConfig(dt=0.1), 0.5)
+        comparison_pairs([(low, high)], g, p, StepConfig(dt=0.1), 0.5)
     shifted = State(np.ones(g.n_omega) * 2.0, np.ones(g.n_gamma), time=1.0)
     with pytest.raises(ValueError):
-        comparison_experiment(low, shifted, g, p, StepConfig(dt=0.1), 0.5)
+        comparison_pairs([(low, shifted)], g, p, StepConfig(dt=0.1), 0.5)
 
 
 def test_comparison_factors_once_per_pair(monkeypatch):
@@ -326,7 +334,7 @@ def test_comparison_factors_once_per_pair(monkeypatch):
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
     low = State(np.full(g.n_omega, 0.5), np.full(g.n_gamma, 0.5))
     high = State(np.full(g.n_omega, 1.5), np.full(g.n_gamma, 1.0))
-    verdict = comparison_experiment(low, high, g, p, StepConfig(dt=0.05), 0.5)
+    verdict, = comparison_pairs([(low, high)], g, p, StepConfig(dt=0.05), 0.5)
     assert verdict.passed
     assert len(built) == 1
 
@@ -342,8 +350,8 @@ def test_comparison_pairs_match_one_pair_experiments():
         pairs.append((low, State(low.u + shift, low.v + shift)))
     cfg = StepConfig(dt=0.05)
     together = comparison_pairs(pairs, g, p, cfg, 0.5)
-    assert together == [comparison_experiment(lo, hi, g, p, cfg, 0.5)
-                        for lo, hi in pairs]
+    assert together == [comparison_pairs([pair], g, p, cfg, 0.5)[0]
+                        for pair in pairs]
     assert len({v.worst_violation for v in together}) == 3
 
 
@@ -361,10 +369,10 @@ def test_marched_pair_matches_separate_integrations():
         alone = []
         integrate(s0, g, p, cfg, 0.3, observer=alone.append)
         assert len(alone) == len(marched)
-        for pair, ref in zip(marched, alone):
-            assert pair[j].time == ref.time
-            assert np.array_equal(pair[j].u, ref.u)
-            assert np.array_equal(pair[j].v, ref.v)
+        for (time, z), ref in zip(marched, alone):
+            assert time == ref.time
+            assert np.array_equal(z[j, :g.n_omega], ref.u)
+            assert np.array_equal(z[j, g.n_omega:], ref.v)
 
 
 def test_comparison_propagates_step_failure():
@@ -377,5 +385,5 @@ def test_comparison_propagates_step_failure():
     cfg = StepConfig(dt=10.0, newton_max_iter=1, newton_tol=1e-14)
     integrate(low, g, p, cfg, 30.0)
     with pytest.raises(StepFailure) as exc_info:
-        comparison_experiment(low, high, g, p, cfg, 30.0)
+        comparison_pairs([(low, high)], g, p, cfg, 30.0)
     assert exc_info.value.time == 0.0

@@ -10,8 +10,8 @@ from volsurf.errors import LinearSolverError, StepFailure
 from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
 from volsurf.model import (ModelParams, State, entropy, equilibrium_state,
                            mass, solve_equilibrium)
-from volsurf.stepper import (StepConfig, _CoupledStepper, coupled_step,
-                             integrate, linear_bulk_step, linear_surface_step,
+from volsurf.stepper import (StepConfig, _CoupledStepper, integrate,
+                             linear_bulk_step, linear_surface_step,
                              semi_discrete_rhs)
 
 
@@ -178,7 +178,7 @@ def test_coupled_step_equilibrium_fixed_point():
     p = interval_params(alpha=2.0, beta=1.0)
     eq = solve_equilibrium(p, g, 3.0)
     s0 = equilibrium_state(eq, g)
-    s1 = coupled_step(s0, g, p, StepConfig(dt=0.1))
+    s1 = integrate(s0, g, p, StepConfig(dt=0.1), s0.time + 0.1)
     assert np.allclose(s1.u, s0.u, atol=1e-10)
     assert np.allclose(s1.v, s0.v, atol=1e-10)
     assert s1.time == pytest.approx(0.1)
@@ -191,7 +191,7 @@ def test_coupled_step_conserves_mass():
     s = State(rng.uniform(0.2, 2.0, g.n_omega), rng.uniform(0.2, 2.0, g.n_gamma))
     m0 = mass(s, g, p)
     for _ in range(10):
-        s = coupled_step(s, g, p, StepConfig(dt=0.05))
+        s = integrate(s, g, p, StepConfig(dt=0.05), s.time + 0.05)
     assert mass(s, g, p) == pytest.approx(m0, abs=1e-10 * max(1.0, m0))
 
 
@@ -202,7 +202,7 @@ def test_coupled_step_matches_stiff_ode_oracle():
     p = interval_params(alpha=2.0, beta=1.0)
     u0 = 1.0 + 0.01 * np.array([1.0, -1.0, 0.5])
     v0 = 1.0 + 0.01 * np.array([-1.0, 1.0])
-    s1 = coupled_step(State(u0, v0), g, p, StepConfig(dt=0.01))
+    s1 = integrate(State(u0, v0), g, p, StepConfig(dt=0.01), 0.01)
     ref = radau_reference(np.concatenate([u0, v0]), g, p, 0.01)
     assert np.max(np.abs(np.concatenate([s1.u, s1.v]) - ref)) < 1e-4
 
@@ -307,7 +307,7 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
     g = build_periodic_strip(16, 8, 1.0, 1.0)
     p = ModelParams(alpha=2.0, beta=3.0, delta_u=1.0, delta_v=0.5)
     rng = np.random.default_rng(4)
-    s = State(rng.uniform(0.2, 2.0, g.n_omega), rng.uniform(0.2, 2.0, g.n_gamma))
+    z = rng.uniform(0.2, 2.0, (1, g.n_omega + g.n_gamma))
     solves, updates = [], []
 
     class CountingLU:
@@ -328,7 +328,7 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
     for _ in range(5):
         solves.clear()
         updates.clear()
-        s = stepper.step(s)
+        z = stepper.step(z, 0.0)
         assert len(updates) >= 2  # several Newton iterations ...
         assert len(solves) == 2   # ... and two sparse solves
 
@@ -347,7 +347,8 @@ def test_stepper_holds_no_dense_n_by_n_gamma_array():
     g = build_periodic_strip(64, 32, 2.0, 1.0)
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
     stepper = _CoupledStepper(g, p, StepConfig(dt=0.01))
-    stepper.step(State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5)))
+    stepper.step(np.concatenate([np.ones((1, g.n_omega)),
+                                 np.full((1, g.n_gamma), 0.5)], axis=1), 0.0)
     limit = (g.n_omega + g.n_gamma) * g.n_gamma
     sizes = {name: value.size for name, value in vars(stepper).items()
              if isinstance(value, np.ndarray)}
@@ -367,9 +368,10 @@ def test_capacitance_failure_raises_linear_solver_error(monkeypatch, failure):
         return np.full_like(b, np.nan)
 
     monkeypatch.setattr(np.linalg, "solve", broken_solve)
-    s = State(np.full(g.n_omega, 2.0), np.full(g.n_gamma, 0.5))
+    z = np.concatenate([np.full((1, g.n_omega), 2.0),
+                        np.full((1, g.n_gamma), 0.5)], axis=1)
     with pytest.raises(LinearSolverError):
-        stepper.step(s)
+        stepper.step(z, 0.0)
 
 
 def test_coupled_step_newton_exhaustion_raises():
@@ -378,7 +380,7 @@ def test_coupled_step_newton_exhaustion_raises():
     s = State(np.full(g.n_omega, 5.0), np.zeros(g.n_gamma))
     cfg = StepConfig(dt=10.0, newton_max_iter=1, newton_tol=1e-14)
     with pytest.raises(StepFailure) as exc_info:
-        coupled_step(s, g, p, cfg)
+        integrate(s, g, p, cfg, s.time + cfg.dt)
     assert len(exc_info.value.residual_history) >= 1
 
 
@@ -390,7 +392,7 @@ def test_coupled_step_accepts_float_fixed_point(dt):
     p = interval_params(alpha=2.0, beta=1.0)
     rng = np.random.default_rng(0)
     s0 = State(rng.uniform(0.0, 2.0, g.n_omega), rng.uniform(0.0, 2.0, g.n_gamma))
-    s1 = coupled_step(s0, g, p, StepConfig(dt=dt))
+    s1 = integrate(s0, g, p, StepConfig(dt=dt), dt)
     m0 = mass(s0, g, p)
     assert abs(mass(s1, g, p) - m0) <= 1e-14 * m0
     if dt == 1e-300:
@@ -401,7 +403,7 @@ def test_coupled_step_validation():
     g = build_interval(4, 1.0)
     p = interval_params()
     with pytest.raises(ValueError):
-        coupled_step(State(np.ones(3), np.ones(2)), g, p, StepConfig(dt=0.1))
+        integrate(State(np.ones(3), np.ones(2)), g, p, StepConfig(dt=0.1), 0.1)
 
 
 # ------------------------------------------------------------------ integrate
