@@ -13,7 +13,7 @@ implicit path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +41,8 @@ SERIES_COLUMNS = ("t", "mass", "E", "D", "E_rel", "I1", "I2", "L1_u", "L1_v")
 
 @dataclass
 class TraceSeries:
-    """Per-record observables of one run, plus its final state."""
+    """Per-record observables of one run, plus its final state. The first
+    nine fields are the SERIES_COLUMNS, in that order."""
 
     times: np.ndarray
     mass: np.ndarray
@@ -78,38 +79,21 @@ def record(state0: State, geom: GridGeometry, params: ModelParams,
     eq = solve_equilibrium(params, geom, mass(state0, geom, params))
     e_eq = equilibrium_entropy(eq, geom, params)
 
-    rows = {name: [] for name in ("t", "m", "e", "d", "i1", "i2", "l1u", "l1v")}
+    rows = []  # one per state, in SERIES_COLUMNS order
 
     def push(state):
         e = entropy(state, geom, params)
         i1, i2 = entropy_decomposition(state, geom, params, eq)
-        rows["t"].append(state.time)
-        rows["m"].append(mass(state, geom, params))
-        rows["e"].append(e)
-        rows["d"].append(dissipation(state, geom, params))
-        rows["i1"].append(i1)
-        rows["i2"].append(i2)
-        rows["l1u"].append(float(geom.omega_weights @ np.abs(state.u - eq.u_inf)))
-        rows["l1v"].append(float(geom.gamma_weights @ np.abs(state.v - eq.v_inf)))
+        rows.append((
+            state.time, mass(state, geom, params), e,
+            dissipation(state, geom, params), e - e_eq, i1, i2,
+            float(geom.omega_weights @ np.abs(state.u - eq.u_inf)),
+            float(geom.gamma_weights @ np.abs(state.v - eq.v_inf))))
 
     push(state0)
     final = integrate(state0, geom, params, cfg, t_end, observer=push)
-
-    e_arr = np.array(rows["e"])
-    return TraceSeries(
-        times=np.array(rows["t"]),
-        mass=np.array(rows["m"]),
-        entropy=e_arr,
-        dissipation=np.array(rows["d"]),
-        entropy_rel=e_arr - e_eq,
-        i1=np.array(rows["i1"]),
-        i2=np.array(rows["i2"]),
-        l1_u=np.array(rows["l1u"]),
-        l1_v=np.array(rows["l1v"]),
-        equilibrium=eq,
-        entropy_eq=e_eq,
-        final=final,
-    )
+    return TraceSeries(*np.array(rows).T, equilibrium=eq, entropy_eq=e_eq,
+                       final=final)
 
 
 def check_entropy_dissipation_identity(series: TraceSeries,
@@ -294,9 +278,9 @@ def _fmt(x: float) -> str:
 
 
 def write_series_csv(series: TraceSeries, path):
-    """CSV with header t,mass,E,D,E_rel,I1,I2,L1_u,L1_v at full precision."""
-    cols = (series.times, series.mass, series.entropy, series.dissipation,
-            series.entropy_rel, series.i1, series.i2, series.l1_u, series.l1_v)
+    """CSV of the SERIES_COLUMNS at full precision, one row per record."""
+    cols = [getattr(series, f.name)
+            for f in fields(series)[:len(SERIES_COLUMNS)]]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         for row in zip(*cols):

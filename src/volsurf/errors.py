@@ -5,6 +5,9 @@ inputs are structurally unusable rather than merely malformed). The remaining
 types signal numerical failure and carry enough state to diagnose it.
 """
 
+__all__ = ["DegenerateInputError", "LinearSolverError",
+           "MonotoneConvergenceError", "OracleFailure", "StepFailure"]
+
 
 class DegenerateInputError(ValueError):
     """Inputs are structurally degenerate (e.g. identically zero data where a

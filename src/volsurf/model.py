@@ -70,16 +70,19 @@ class ModelParams:
     k_v: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1:
+        # written as range tests, which NaN fails too
+        if not (1 <= self.alpha < math.inf and 1 <= self.beta < math.inf):
+            raise ValueError(f"exponents must be finite and >= 1, got "
+                             f"alpha={self.alpha}, beta={self.beta}")
+        if not 0 < self.delta_u < math.inf:
             raise ValueError(
-                f"exponents must be >= 1, got alpha={self.alpha}, beta={self.beta}")
-        if self.delta_u <= 0:
-            raise ValueError(f"delta_u must be positive, got {self.delta_u}")
-        if self.delta_v < 0:
-            raise ValueError(f"delta_v must be nonnegative, got {self.delta_v}")
-        if self.k_u <= 0 or self.k_v <= 0:
+                f"delta_u must be positive and finite, got {self.delta_u}")
+        if not 0 <= self.delta_v < math.inf:
             raise ValueError(
-                f"rate constants must be positive, got k_u={self.k_u}, k_v={self.k_v}")
+                f"delta_v must be nonnegative and finite, got {self.delta_v}")
+        if not (0 < self.k_u < math.inf and 0 < self.k_v < math.inf):
+            raise ValueError(f"rate constants must be positive and finite, "
+                             f"got k_u={self.k_u}, k_v={self.k_v}")
 
 
 @dataclass
@@ -100,8 +103,9 @@ class State:
             raise ValueError("state fields must be finite")
         if np.any(self.u < 0) or np.any(self.v < 0):
             raise ValueError("state fields must be nonnegative")
-        if self.time < 0:
-            raise ValueError(f"time must be nonnegative, got {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(
+                f"time must be finite and nonnegative, got {self.time}")
 
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.time)

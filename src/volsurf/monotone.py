@@ -79,7 +79,11 @@ class IterationReport:
     upper_u: np.ndarray = None
     upper_v: np.ndarray = None
     bounds: tuple = (0.0, 0.0)
-    k_final: int = 0
+
+    @property
+    def k_final(self) -> int:
+        """Number of sweeps run."""
+        return len(self.margins)
 
 
 @dataclass(frozen=True)
@@ -162,13 +166,12 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     pair[:, 1, :n_u], pair[:, 1, n_u:] = a_bound, b_bound
     report.gaps.append(max(a_bound, b_bound))
 
-    for k in range(1, k_max + 1):
+    for _ in range(k_max):
         new = _sweep_pair(z0, pair, stepper, params, l_u, l_v)
         report.margins.append(_ordering_margins(pair, new))
         pair = new
         gap = float(np.max(np.abs(pair[:, 1] - pair[:, 0])))
         report.gaps.append(gap)
-        report.k_final = k
         if gap <= outer_tol:
             break
     else:

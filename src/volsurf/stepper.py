@@ -26,6 +26,7 @@ stepper; integrate is its one-State case and builds the States.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +56,18 @@ class StepConfig:
     linear_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.newton_tol <= 0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(
-                f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
-        if self.linear_tol <= 0:
-            raise ValueError(f"linear_tol must be positive, got {self.linear_tol}")
+        # written as range tests, which NaN fails too
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, "
+                             f"got {self.newton_tol}")
+        if not 1 <= self.newton_max_iter < math.inf:
+            raise ValueError(f"newton_max_iter must be finite and >= 1, "
+                             f"got {self.newton_max_iter}")
+        if not 0 < self.linear_tol < math.inf:
+            raise ValueError(f"linear_tol must be positive and finite, "
+                             f"got {self.linear_tol}")
 
 
 def _check_surface_diffusion(geom: GridGeometry, params: ModelParams):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +12,8 @@ from hypothesis import strategies as st
 
 import volsurf
 import volsurf.cli as cli
-import volsurf.diagnostics as diagnostics
-import volsurf.monotone as monotone
-import volsurf.stepper as stepper
+from volsurf import (diagnostics, errors, grid, linsolve, model, monotone,
+                     stepper)
 from volsurf.cli import SUITES, main
 from volsurf.monotone import run_monotone
 
@@ -51,6 +51,28 @@ def test_version_flag():
 def test_every_exported_name_resolves():
     missing = [name for name in volsurf.__all__ if not hasattr(volsurf, name)]
     assert missing == []
+    # each module's __all__ is the one list of its public names
+    assert len(set(volsurf.__all__)) == len(volsurf.__all__)
+    modules = (errors, grid, linsolve, model, monotone, stepper, diagnostics)
+    assert volsurf.__all__ == ["__version__"] + [
+        name for module in modules for name in module.__all__]
+    assert set(volsurf.__all__) == {
+        "__version__", "DegenerateInputError", "LinearSolverError",
+        "MonotoneConvergenceError", "OracleFailure", "StepFailure",
+        "GridGeometry", "GridKind", "build_interval", "build_periodic_strip",
+        "build_polar_disk", "trace", "SolveMethod", "SolveStats",
+        "assemble_shifted", "check_residual", "factor", "solve", "Equilibrium",
+        "ModelParams", "State", "ckp_constant", "constant_upper_solution",
+        "dissipation", "entropy", "entropy_decomposition",
+        "equilibrium_entropy", "equilibrium_from_measures",
+        "equilibrium_state", "lipschitz_bounds", "mass", "reaction_F",
+        "reaction_G", "shifted_f", "shifted_g", "solve_equilibrium",
+        "ComparisonVerdict", "IterationReport", "SandwichVerdict",
+        "check_sandwich", "comparison_pairs", "run_monotone", "StepConfig",
+        "integrate", "linear_bulk_step", "linear_surface_step",
+        "semi_discrete_rhs", "RateFit", "TraceSeries", "audit_ckp",
+        "audit_degenerate_coupling", "check_entropy_dissipation_identity",
+        "dense_oracle", "fit_rate", "record", "write_series_csv"}
 
 
 def test_unknown_subcommand():
@@ -127,14 +149,36 @@ def test_infinite_t_end_override_rejected(tmp_path, capsys):
     ("geometry", "n_cells", True),
     ("geometry", "n_cells", "10"),
     ("step", "newton_max_iter", 2.5),
+    ("geometry", "nx", 8.5),
+    ("geometry", "ny", 4.5),
+    ("geometry", "nr", 4.5),
+    ("geometry", "ntheta", 8.5),
+    ("geometry", "ntheta", False),
 ])
 def test_fractional_integer_key_rejected(tmp_path, capsys, section, key,
                                          value):
-    cfg = base_config()
+    # every int-annotated argument of a builder or StepConfig, each set in
+    # the first LEAF_CONFIGS config whose section has the key
+    cfg = copy.deepcopy(next((c for c in LEAF_CONFIGS.values()
+                              if key in c[section]), base_config()))
     cfg[section][key] = value
     path = write_config(tmp_path, cfg)
     assert main(["simulate", path, "--out", str(tmp_path)]) == 2
     assert "whole number" in capsys.readouterr().err
+
+
+def test_params_schema_follows_the_dataclass(tmp_path, capsys, monkeypatch):
+    # the params keys, their types and defaults are read off the dataclass
+    extended = dataclasses.make_dataclass(
+        "ExtendedParams", [("extra", float, 0.0)],
+        bases=(cli.ModelParams,), frozen=True)
+    monkeypatch.setattr(cli, "ModelParams", extended)
+    cfg = base_config()
+    cfg["params"]["extra"] = 2
+    assert main(["equilibrium", write_config(tmp_path, cfg)]) == 0
+    cfg["params"]["extra"] = "2"
+    assert main(["equilibrium", write_config(tmp_path, cfg)]) == 2
+    assert "params.extra must be a finite number" in capsys.readouterr().err
 
 
 def test_whole_float_for_integer_key_accepted(tmp_path):

@@ -338,7 +338,9 @@ def test_series_csv_roundtrip_exact(tmp_path):
         header, *rows = csv.reader(fh)
     back = dict(zip(header, np.array(rows, dtype=float).T))
     assert list(back) == list(diagnostics.SERIES_COLUMNS)
-    assert np.array_equal(back["t"], series.times)
-    assert np.array_equal(back["E"], series.entropy)
-    assert np.array_equal(back["D"], series.dissipation)
-    assert np.array_equal(back["L1_v"], series.l1_v)
+    fields = ("times", "mass", "entropy", "dissipation", "entropy_rel", "i1",
+              "i2", "l1_u", "l1_v")
+    for column, name in zip(diagnostics.SERIES_COLUMNS, fields):
+        assert np.array_equal(back[column], getattr(series, name)), column
+    assert np.array_equal(series.entropy_rel,
+                          series.entropy - series.entropy_eq)

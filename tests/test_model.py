@@ -34,6 +34,10 @@ def test_params_validation():
         ModelParams(alpha=1, beta=1, delta_u=1.0, delta_v=-1.0)
     with pytest.raises(ValueError):
         params_for(k_u=0.0)
+    for key in ("alpha", "beta", "delta_u", "delta_v", "k_u", "k_v"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                params_for(**{key: value})
 
 
 def test_state_validation():
@@ -45,6 +49,9 @@ def test_state_validation():
         State(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         State(np.zeros(2), np.zeros(2), time=-0.5)
+    for time in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            State(np.zeros(2), np.zeros(2), time=time)
     with pytest.raises(ValueError, match="finite"):
         State(np.array([np.nan, 1.0]), np.array([np.inf]))
     with pytest.raises(ValueError, match="finite"):

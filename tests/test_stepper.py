@@ -41,6 +41,12 @@ def test_step_config_validation():
         StepConfig(dt=0.1, newton_max_iter=0)
     with pytest.raises(ValueError):
         StepConfig(dt=0.1, linear_tol=-1.0)
+    # NaN passes every "<= 0" test; a NaN or infinite newton_tol skipped
+    # every Newton iteration and returned the initial data
+    for key in ("dt", "newton_tol", "linear_tol"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StepConfig(**{"dt": 0.1, key: value})
 
 
 # ------------------------------------------------------------ linear substeps
@@ -304,10 +310,10 @@ def test_capacitance_update_matches_sparse_solve(geom, params):
 
 
 def test_iterating_step_does_two_sparse_solves(monkeypatch):
+    # two solves is the floor with O(n + n_gamma^2) storage, also for the
+    # linear alpha = beta = 1 case: the first gives the interface values of
+    # K^-1(-F) before p is known, the second forms z from K^-1(A p)
     g = build_periodic_strip(16, 8, 1.0, 1.0)
-    p = ModelParams(alpha=2.0, beta=3.0, delta_u=1.0, delta_v=0.5)
-    rng = np.random.default_rng(4)
-    z = rng.uniform(0.2, 2.0, (1, g.n_omega + g.n_gamma))
     solves, updates = [], []
 
     class CountingLU:
@@ -321,16 +327,21 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
 
     real_factor = linsolve.factor
     monkeypatch.setattr(linsolve, "factor", lambda a: CountingLU(real_factor(a)))
-    stepper = _CoupledStepper(g, p, StepConfig(dt=0.05))
-    real_update = stepper._interface_update
-    monkeypatch.setattr(stepper, "_interface_update",
-                        lambda *a: updates.append(1) or real_update(*a))
-    for _ in range(5):
-        solves.clear()
-        updates.clear()
-        z = stepper.step(z, 0.0)
-        assert len(updates) >= 2  # several Newton iterations ...
-        assert len(solves) == 2   # ... and two sparse solves
+    for alpha, beta, min_updates in ((2.0, 3.0, 2), (1.0, 1.0, 1)):
+        p = ModelParams(alpha=alpha, beta=beta, delta_u=1.0, delta_v=0.5)
+        rng = np.random.default_rng(4)
+        z = rng.uniform(0.2, 2.0, (1, g.n_omega + g.n_gamma))
+        stepper = _CoupledStepper(g, p, StepConfig(dt=0.05))
+        real_update = stepper._interface_update
+        monkeypatch.setattr(stepper, "_interface_update",
+                            lambda *a, real=real_update:
+                            updates.append(1) or real(*a))
+        for _ in range(5):
+            solves.clear()
+            updates.clear()
+            z = stepper.step(z, 0.0)
+            assert len(updates) >= min_updates  # Newton iterations ...
+            assert len(solves) == 2             # ... and two sparse solves
 
 
 def test_chunked_interface_rows_match_one_solve(monkeypatch):
