@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DegenerateInputError
-from .grid import GridGeometry, GridKind, trace
+from .grid import GridGeometry
 
 __all__ = [
     "ModelParams",
@@ -56,6 +56,10 @@ DERIVATIVE_FLOOR = 1e-12
 # floor under the log arguments and face values of the dissipation
 DISSIPATION_FLOOR = 1e-30
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# least common rate k_u A^alpha = k_v B^beta of a constant upper pair, a
+# normal float with margin; a subnormal rate cannot be balanced to
+# working precision
+_RATE_FLOOR = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,10 @@ def _balanced(k_x: float, x: float, e_x: float, k_y: float, e_y: float) -> float
 
 def constant_upper_solution(params: ModelParams, sup_u0: float, sup_v0: float):
     """Smallest constant pair (A, B) dominating the initial data with
-    balanced rates k_u A^alpha = k_v B^beta. Raises DegenerateInputError for
-    zero data and when the pair exceeds the float range."""
+    balanced rates k_u A^alpha = k_v B^beta, lifted where needed so that A,
+    B and the rate stay normal floats (any larger balanced pair is still an
+    upper solution). Raises DegenerateInputError for zero data and when the
+    pair exceeds the float range."""
     if sup_u0 < 0 or sup_v0 < 0:
         raise ValueError("initial suprema must be nonnegative")
     if sup_u0 == 0 and sup_v0 == 0:
@@ -212,6 +218,13 @@ def constant_upper_solution(params: ModelParams, sup_u0: float, sup_v0: float):
     if b < sup_v0:
         b = float(sup_v0)
         a = max(a, _balanced(p.k_v, b, p.beta, p.k_u, p.alpha))
+    # tiny data would give subnormal (or zero) entries whose rates round
+    # apart; lift to the pair of rate floor * max(k_u, k_v, 1), whose entries
+    # and their powers are normal. The max only moves a pair already at that
+    # rate by its rounding.
+    floor = _RATE_FLOOR * max(p.k_u, p.k_v, 1.0)
+    a = max(a, (floor / p.k_u) ** (1.0 / p.alpha))
+    b = max(b, (floor / p.k_v) ** (1.0 / p.beta))
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DegenerateInputError(
             f"no constant upper solution within the float range for initial "
@@ -219,10 +232,33 @@ def constant_upper_solution(params: ModelParams, sup_u0: float, sup_v0: float):
     return a, b
 
 
+# Each functional of the fields (mass, entropy, dissipation, the I1/I2 split)
+# has one row-wise form on u [row, n_omega], v [row, n_gamma], a block of
+# states, and the State-taking public function is its one-row case. A row's
+# value must not depend on the block around it. So every inner product is
+# np.vecdot, one BLAS dot per row, which rounds as the 1-D `weights @ row`
+# does (a matrix-vector product may sum in another order), and cell values
+# are gathered with np.take, whose result is C-contiguous (fancy indexing on
+# axis 1 need not be, and a row sum over it can round differently).
+
+
+def _rows(state: State):
+    return state.u[None], state.v[None]
+
+
+def _require_nonnegative(name: str, u: np.ndarray, v: np.ndarray):
+    if np.any(u < 0) or np.any(v < 0):
+        raise ValueError(f"{name} requires nonnegative fields")
+
+
+def _mass_rows(u, v, geom: GridGeometry, params: ModelParams) -> np.ndarray:
+    return (np.vecdot(params.beta * geom.omega_weights, u)
+            + np.vecdot(params.alpha * geom.gamma_weights, v))
+
+
 def mass(state: State, geom: GridGeometry, params: ModelParams) -> float:
     """Conserved weighted total beta*<u> + alpha*<v>."""
-    return float(params.beta * geom.omega_weights @ state.u
-                 + params.alpha * geom.gamma_weights @ state.v)
+    return float(_mass_rows(*_rows(state), geom, params)[0])
 
 
 def equilibrium_from_measures(params: ModelParams, omega_measure: float,
@@ -288,16 +324,18 @@ def equilibrium_state(eq: Equilibrium, geom: GridGeometry, time: float = 0.0) ->
                  np.full(geom.n_gamma, eq.v_inf), time)
 
 
+def _entropy_rows(u, v, geom: GridGeometry, params: ModelParams) -> np.ndarray:
+    _require_nonnegative("entropy", u, v)
+    mu_u = math.log(params.k_u) / params.alpha
+    mu_v = math.log(params.k_v) / params.beta
+    return (np.vecdot(geom.omega_weights, xlogy(u, u) - u + mu_u * u)
+            + np.vecdot(geom.gamma_weights, xlogy(v, v) - v + mu_v * v))
+
+
 def entropy(state: State, geom: GridGeometry, params: ModelParams) -> float:
     """Free energy E = <u(log u - 1 + mu_u)> + <v(log v - 1 + mu_v)>, with
     mu_u = log(k_u)/alpha, mu_v = log(k_v)/beta and 0*log 0 = 0."""
-    if np.any(state.u < 0) or np.any(state.v < 0):
-        raise ValueError("entropy requires nonnegative fields")
-    mu_u = math.log(params.k_u) / params.alpha
-    mu_v = math.log(params.k_v) / params.beta
-    eu = geom.omega_weights @ (xlogy(state.u, state.u) - state.u + mu_u * state.u)
-    ev = geom.gamma_weights @ (xlogy(state.v, state.v) - state.v + mu_v * state.v)
-    return float(eu + ev)
+    return float(_entropy_rows(*_rows(state), geom, params)[0])
 
 
 def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry,
@@ -306,8 +344,9 @@ def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry,
 
 
 def _face_quadrature(values: np.ndarray, faces: np.ndarray,
-                     coeffs: np.ndarray) -> float:
-    """Sum of coeff * (jump)^2 / logmean(a, b), the discrete |grad w|^2 / w.
+                     coeffs: np.ndarray) -> np.ndarray:
+    """Sum of coeff * (jump)^2 / logmean(a, b) per row of values [row, cell],
+    the discrete |grad w|^2 / w.
 
     The logarithmic face mean makes the sum equal to sum coeff * jump *
     (log b - log a), which is exactly the rate at which the two-point-flux
@@ -316,13 +355,33 @@ def _face_quadrature(values: np.ndarray, faces: np.ndarray,
     error. Flooring the arguments keeps the sum finite when a cell hits
     zero; each floored term still underestimates the exact integrand."""
     if len(faces) == 0:
-        return 0.0
-    a = np.maximum(values[faces[:, 0]], DISSIPATION_FLOOR)
-    b = np.maximum(values[faces[:, 1]], DISSIPATION_FLOOR)
+        return np.zeros(len(values))
+    a = np.maximum(np.take(values, faces[:, 0], axis=1), DISSIPATION_FLOOR)
+    b = np.maximum(np.take(values, faces[:, 1], axis=1), DISSIPATION_FLOOR)
     jump = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         logmean = np.where(jump == 0.0, a, jump / np.log(b / a))
-    return float(np.sum(coeffs * jump * jump / logmean))
+    return np.sum(coeffs * jump * jump / logmean, axis=1)
+
+
+def _dissipation_rows(u, v, geom: GridGeometry,
+                      params: ModelParams) -> np.ndarray:
+    _require_nonnegative("dissipation", u, v)
+    if u.shape[1:] != (geom.n_omega,):
+        raise ValueError(f"field has shape {u.shape[1:]}, "
+                         f"expected ({geom.n_omega},)")
+    d = params.delta_u * _face_quadrature(
+        u, geom.omega_faces, geom.omega_face_coeffs)
+    if params.delta_v > 0:
+        d += params.delta_v * _face_quadrature(
+            v, geom.gamma_faces, geom.gamma_face_coeffs)
+
+    a = params.k_v * v ** params.beta
+    b = params.k_u * np.take(u, geom.trace_cells, axis=1) ** params.alpha
+    log_ratio = np.log(np.maximum(a, DISSIPATION_FLOOR)
+                       / np.maximum(b, DISSIPATION_FLOOR))
+    integrand = np.where(a == b, 0.0, (a - b) * log_ratio)
+    return d + np.vecdot(geom.gamma_weights, integrand)
 
 
 def dissipation(state: State, geom: GridGeometry, params: ModelParams) -> float:
@@ -334,22 +393,29 @@ def dissipation(state: State, geom: GridGeometry, params: ModelParams) -> float:
     so the result is a finite lower bound of the exact functional, which is
     infinite as soon as a zero value meets a positive one.
     """
-    if np.any(state.u < 0) or np.any(state.v < 0):
-        raise ValueError("dissipation requires nonnegative fields")
-    d = params.delta_u * _face_quadrature(
-        state.u, geom.omega_faces, geom.omega_face_coeffs)
-    if params.delta_v > 0:
-        d += params.delta_v * _face_quadrature(
-            state.v, geom.gamma_faces, geom.gamma_face_coeffs)
+    return float(_dissipation_rows(*_rows(state), geom, params)[0])
 
-    ut = trace(state.u, geom)
-    a = params.k_v * state.v ** params.beta
-    b = params.k_u * ut ** params.alpha
-    log_ratio = np.log(np.maximum(a, DISSIPATION_FLOOR)
-                       / np.maximum(b, DISSIPATION_FLOOR))
-    integrand = np.where(a == b, 0.0, (a - b) * log_ratio)
-    d += float(geom.gamma_weights @ integrand)
-    return d
+
+def _bregman(x, x_inf):
+    return xlogy(x, x) - xlogy(x, x_inf) - (x - x_inf)
+
+
+def _decomposition_rows(u, v, geom: GridGeometry, params: ModelParams,
+                        eq: Equilibrium):
+    m = _mass_rows(u, v, geom, params)
+    off = np.abs(m - eq.mass) > 1e-8 * max(abs(eq.mass), 1.0)
+    if off.any():
+        raise ValueError(f"state mass {float(m[np.argmax(off)])!r} does not "
+                         f"match equilibrium mass {eq.mass!r}")
+    u_bar = np.vecdot(geom.omega_weights, u) / geom.omega_measure
+    v_bar = np.vecdot(geom.gamma_weights, v) / geom.gamma_measure
+    i1 = (np.vecdot(geom.omega_weights,
+                    xlogy(u, u) - xlogy(u, u_bar[:, None]))
+          + np.vecdot(geom.gamma_weights,
+                      xlogy(v, v) - xlogy(v, v_bar[:, None])))
+    i2 = (geom.omega_measure * _bregman(u_bar, eq.u_inf)
+          + geom.gamma_measure * _bregman(v_bar, eq.v_inf))
+    return i1, i2
 
 
 def entropy_decomposition(state: State, geom: GridGeometry,
@@ -361,24 +427,8 @@ def entropy_decomposition(state: State, geom: GridGeometry,
     relative entropy when the state's mass matches eq.mass, which is required
     to 1e-8 relative.
     """
-    m = mass(state, geom, params)
-    if abs(m - eq.mass) > 1e-8 * max(abs(eq.mass), 1.0):
-        raise ValueError(
-            f"state mass {m!r} does not match equilibrium mass {eq.mass!r}")
-    u_bar = float(geom.omega_weights @ state.u) / geom.omega_measure
-    v_bar = float(geom.gamma_weights @ state.v) / geom.gamma_measure
-
-    i1 = float(geom.omega_weights @ (xlogy(state.u, state.u)
-                                     - xlogy(state.u, u_bar))
-               + geom.gamma_weights @ (xlogy(state.v, state.v)
-                                       - xlogy(state.v, v_bar)))
-
-    def bregman(x, x_inf):
-        return xlogy(x, x) - xlogy(x, x_inf) - (x - x_inf)
-
-    i2 = float(geom.omega_measure * bregman(u_bar, eq.u_inf)
-               + geom.gamma_measure * bregman(v_bar, eq.v_inf))
-    return i1, i2
+    i1, i2 = _decomposition_rows(*_rows(state), geom, params, eq)
+    return float(i1[0]), float(i2[0])
 
 
 def ckp_constant(params: ModelParams, total_mass: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from volsurf.diagnostics import (TraceSeries, audit_ckp,
                                  check_entropy_dissipation_identity,
                                  dense_oracle, fit_rate, record,
                                  write_series_csv)
-from volsurf.errors import OracleFailure
-from volsurf.grid import build_interval, build_periodic_strip
-from volsurf.model import (Equilibrium, ModelParams, State, equilibrium_state,
+from volsurf.errors import OracleFailure, StepFailure
+from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
+from volsurf.model import (Equilibrium, ModelParams, State, dissipation,
+                           entropy, entropy_decomposition, equilibrium_state,
                            mass, solve_equilibrium)
-from volsurf.stepper import StepConfig, integrate, semi_discrete_rhs
+from volsurf.stepper import (StepConfig, _CoupledStepper, integrate,
+                             semi_discrete_rhs)
 
 
 def interval_run(t_end=1.0, dt=0.01, alpha=2.0, beta=1.0, k_u=1.0, k_v=1.0):
@@ -72,6 +75,110 @@ def test_record_generic_run_invariants():
     assert np.all(series.entropy_rel >= -1e-9 * (1.0 + abs(series.entropy_eq)))
     assert np.all(series.i1 >= -1e-12)
     assert np.all(series.i2 >= -1e-12)
+
+
+BLOCK_GEOMETRIES = {
+    "strip": (lambda: build_periodic_strip(16, 8, 1.0, 2.0), 0.5),
+    "disk": (lambda: build_polar_disk(8, 16, 1.0), 0.5),
+    # delta_v = 0 on two boundary points: no surface faces
+    "interval": (lambda: build_interval(12, 1.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_GEOMETRIES))
+def test_record_blocks_match_one_state_functionals(kind, monkeypatch):
+    # record evaluates blocks of states at once; each row must round exactly
+    # as the one-State functionals do, in every block position
+    make, delta_v = BLOCK_GEOMETRIES[kind]
+    g = make()
+    # non-integer exponents take numpy's general power path
+    p = ModelParams(alpha=1.5, beta=2.5, delta_u=1.0, delta_v=delta_v,
+                    k_u=2.0, k_v=0.5)
+    u0 = 1.0 + 0.4 * np.cos(np.arange(g.n_omega) * 1.7)
+    v0 = 0.5 + 0.3 * np.sin(np.arange(g.n_gamma) * 2.3)
+    # a zero trace cell next to a zero cell, under a zero patch: the
+    # initial row reaches the floors, a zero jump and a == b
+    first = g.trace_cells[0]
+    face = next(f for f in g.omega_faces if first in f)
+    u0[face] = 0.0
+    v0[0] = 0.0
+    s0 = State(u0, v0)
+    cfg = StepConfig(dt=0.01)
+    per_block = 3
+    monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS",
+                        per_block * (g.n_omega + g.n_gamma))
+    series = record(s0, g, p, cfg, 0.1)
+    states = [s0]
+    integrate(s0, g, p, cfg, 0.1, observer=states.append)
+    assert len(series) == len(states) == 11  # blocks of 3, 3, 3 and 2
+
+    eq = series.equilibrium
+    e = np.array([entropy(s, g, p) for s in states])
+    i1, i2 = np.array([entropy_decomposition(s, g, p, eq) for s in states]).T
+    expected = {
+        "times": [s.time for s in states],
+        "mass": [mass(s, g, p) for s in states],
+        "entropy": e,
+        "dissipation": [dissipation(s, g, p) for s in states],
+        "entropy_rel": e - series.entropy_eq,
+        "i1": i1,
+        "i2": i2,
+        "l1_u": [float(g.omega_weights @ np.abs(s.u - eq.u_inf))
+                 for s in states],
+        "l1_v": [float(g.gamma_weights @ np.abs(s.v - eq.v_inf))
+                 for s in states],
+    }
+    for name, column in expected.items():
+        assert np.array_equal(getattr(series, name), column), name
+    assert np.array_equal(series.final.u, states[-1].u)
+
+
+def test_record_row_error_comes_before_a_later_step_failure(monkeypatch):
+    # rows are evaluated in blocks, after the steps that made them; a row
+    # whose mass is off must still fail record before a later Newton failure
+    g = build_interval(8, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0)
+    s0 = State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5))
+    real_step = _CoupledStepper.step
+    made = []
+
+    def step(self, z, time):
+        if len(made) == 4:
+            raise StepFailure(f"Newton diverged at t={time:g} (reduce dt)")
+        z = real_step(self, z, time)
+        # steps 2 and 3 leave the conserved mass, by different factors
+        z = z * {2: 2.0, 3: 3.0}.get(len(made) + 1, 1.0)
+        made.append(z[0])
+        return z
+
+    monkeypatch.setattr(_CoupledStepper, "step", step)
+    with pytest.raises(ValueError, match="does not match equilibrium mass"
+                       ) as info:
+        record(s0, g, p, StepConfig(dt=0.05), 1.0)
+    assert len(made) == 4  # the failure came at step 5, after every row
+    # the message names the first row whose mass is off
+    m2 = mass(State(made[1][:g.n_omega], made[1][g.n_omega:]), g, p)
+    assert str(info.value).startswith(f"state mass {m2!r} ")
+
+
+def test_record_memory_does_not_grow_with_the_states():
+    # record keeps the nine columns, never the trajectory: 150 more steps
+    # on 2,176 unknowns (17 kB a state) cost a few hundred bytes each
+    g = build_periodic_strip(64, 32, 2.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    x = np.arange(g.n_omega) % 64 * (2.0 * np.pi / 64)
+    s0 = State(1.0 + 0.39 * np.cos(x), np.full(g.n_gamma, 0.5))
+    cfg = StepConfig(dt=0.01)
+    record(s0, g, p, cfg, cfg.dt)  # first-call allocations
+    peaks = []
+    for steps in (50, 200):
+        tracemalloc.start()
+        try:
+            record(s0, g, p, cfg, steps * cfg.dt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 150 <= 400
 
 
 # ------------------------------------------------- entropy-dissipation identity

@@ -202,6 +202,9 @@ def test_constant_upper_solution_examples():
 # subnormal sv once underflowed the rate comparison and lost domination of v
 @example(alpha=1.0, beta=2.0, k_u=1.0, k_v=1.0,
          su=0.0, sv=4.222086420910613e-237)
+# a subnormal pair cannot balance its rates to 1e-12; the box is lifted
+@example(alpha=1.0, beta=1.0, k_u=3.0, k_v=0.25,
+         su=0.0, sv=2.2250738585e-313)
 def test_constant_upper_solution_invariants(alpha, beta, k_u, k_v, su, sv):
     if su == 0.0 and sv == 0.0:
         su = 1.0
