@@ -156,7 +156,8 @@ class _LinearStepper:
     def step(self, z_old, boundary_source, surface_source):
         """The z-stack one step on, of the shape (..., n_Omega + n_Gamma) of
         z_old; the sources are frozen, see linear_bulk_step and
-        linear_surface_step."""
+        linear_surface_step. The leading axes are flattened into the columns
+        of one solve."""
         geom = self.geom
         n_u = geom.n_omega
         wg = geom.gamma_weights
@@ -164,10 +165,11 @@ class _LinearStepper:
         np.add.at(rhs_u.T, geom.trace_cells, (wg * boundary_source).T)
         rhs = np.concatenate(
             [rhs_u, wg * (z_old[..., n_u:] / self.dt + surface_source)],
-            axis=-1).T
+            axis=-1)
+        rhs = rhs.reshape(-1, rhs.shape[-1]).T
         z = self.lu.solve(rhs)
         linsolve.check_residual(self.a, z, rhs, self.tol)
-        return z.T
+        return z.T.reshape(z_old.shape)
 
 
 def linear_bulk_step(u_old: np.ndarray, robin_coeff, boundary_source,

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -466,6 +468,37 @@ def test_monotone_nan_outer_tol_is_usage_error(tmp_path, capsys):
                "--outer-tol", "nan"])
     assert rc == 2
     assert "outer_tol" in capsys.readouterr().err
+
+
+# caps the address space at 2 GiB, so that an allocation which slips past the
+# memory check fails at once instead of taking the machine's memory, and
+# times main alone, without the interpreter's start-up and imports
+_CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+from volsurf.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def test_monotone_horizon_beyond_memory_exits_2_at_once(tmp_path):
+    # 1e9 time levels: the time grid alone is 7.45 GiB, the pair stacks of
+    # the sweeps in flight are far beyond any physical memory
+    path = write_config(tmp_path, base_config(step={"dt": 1e-3}, t_end=1e6))
+    src = os.path.dirname(os.path.dirname(volsurf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "monotone", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "too large for memory" in proc.stderr
+    assert "iterate pair stacks" in proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 @pytest.mark.parametrize("command", [["monotone"],

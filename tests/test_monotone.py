@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import volsurf.stepper as stepper_module
 from volsurf import monotone
 from volsurf.errors import MonotoneConvergenceError, StepFailure
 from volsurf.grid import build_interval, build_periodic_strip, trace
@@ -63,22 +64,24 @@ def test_monotone_limit_matches_newton_trajectory():
 
 
 def _spy_sweeps(monkeypatch, swap=False):
-    """Record each sweep's input and output pair stacks, split at n_Omega
-    into (prev_u, prev_v, new_u, new_v), each [time, sequence, cell] with the
-    lower sequence first; with swap, hand the two sequences back exchanged."""
+    """Record each yielded sweep with the one before it as pair stacks split
+    at n_Omega into (prev_u, prev_v, new_u, new_v), each [time, sequence,
+    cell] with the lower sequence first; with swap, hand each yielded stack
+    on with its two sequences exchanged."""
     sweeps = []
-    real = monotone._sweep_pair
+    real = monotone._sweeps
 
     def spy(z0, prev, stepper, *args):
-        new = real(z0, prev, stepper, *args)
-        if swap:
-            new = new[:, ::-1]
         n_u = stepper.geom.n_omega
-        sweeps.append((prev[..., :n_u], prev[..., n_u:],
-                       new[..., :n_u], new[..., n_u:]))
-        return new
+        for new in real(z0, prev, stepper, *args):
+            if swap:
+                new = new[:, ::-1]
+            sweeps.append((prev[..., :n_u], prev[..., n_u:],
+                           new[..., :n_u], new[..., n_u:]))
+            prev = new
+            yield new
 
-    monkeypatch.setattr(monotone, "_sweep_pair", spy)
+    monkeypatch.setattr(monotone, "_sweeps", spy)
     return sweeps
 
 
@@ -252,6 +255,84 @@ def test_lockstep_sweep_matches_sequential_one_shot_sweeps(monkeypatch, case):
                         np.max(np.abs(new_u[:, j] - ref_u)) / scale,
                         np.max(np.abs(new_v[:, j] - ref_v)) / scale)
     assert worst <= 1e-12
+
+
+def _rows_per_step(monkeypatch):
+    """Record the number of z-rows of every linear step call."""
+    rows = []
+    real = stepper_module._LinearStepper.step
+
+    def spy(self, z_old, *sources):
+        rows.append(z_old[..., 0].size)
+        return real(self, z_old, *sources)
+
+    monkeypatch.setattr(stepper_module._LinearStepper, "step", spy)
+    return rows
+
+
+def _strip_case(nx, ny, amplitude):
+    g = build_periodic_strip(nx, ny, 2.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.1)
+    return g, p, _cosine_state(g, 1.0, 0.5, amplitude)
+
+
+@pytest.mark.parametrize("case, t_horizon, k_final", [
+    ("interval", 0.5, 20),  # the criterion-6 instance
+    ("strip", 0.2, 15),
+    ("benchmark strip", 0.25, 19),  # the monotone-strip workload, seed 1
+])
+def test_pipelined_sweeps_match_one_at_a_time(monkeypatch, case, t_horizon,
+                                              k_final):
+    if case == "interval":
+        g = build_interval(20, 1.0)
+        p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
+        s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
+    elif case == "strip":
+        g, p, s0 = _strip_case(8, 4, 0.39)
+    else:
+        g, p, s0 = _strip_case(32, 16, -0.3918194605894562)
+    rows = _rows_per_step(monkeypatch)
+
+    def run():
+        rows.clear()
+        solution, report = run_monotone(s0, g, p, StepConfig(dt=0.01),
+                                        t_horizon, outer_tol=1e-8)
+        return solution, report, list(rows)
+
+    width = monotone._SWEEPS_IN_FLIGHT
+    assert width > 1
+    pipelined, report, rows_pipelined = run()
+    monkeypatch.setattr(monotone, "_SWEEPS_IN_FLIGHT", 1)
+    one_at_a_time, reference, rows_sequential = run()
+
+    assert max(rows_sequential) == 2
+    assert max(rows_pipelined) == 2 * width
+    assert len(rows_pipelined) < len(rows_sequential)
+    assert reference.k_final == k_final
+    assert report.k_final == reference.k_final
+    assert report.gaps == reference.gaps
+    assert report.margins == reference.margins
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    for name in ("lower_u", "lower_v", "upper_u", "upper_v"):
+        assert close(getattr(report, name), getattr(reference, name))
+    for s, ref in zip(pipelined, one_at_a_time):
+        assert close(np.concatenate([s.u, s.v]),
+                     np.concatenate([ref.u, ref.v]))
+
+
+def test_sweep_cap_bounds_the_sweeps_in_flight(monkeypatch):
+    rows = _rows_per_step(monkeypatch)
+    g = build_interval(10, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0)
+    s0 = State(np.ones(g.n_omega), np.zeros(g.n_gamma))
+    with pytest.raises(MonotoneConvergenceError) as exc_info:
+        run_monotone(s0, g, p, StepConfig(dt=0.05), 0.5, outer_tol=1e-300,
+                     k_max=2)
+    assert len(exc_info.value.gaps) == 3
+    assert max(rows) == 2 * 2  # two sweeps of two sequences, never more
 
 
 # one block LU holds the bulk and the surface matrix, with or without

@@ -176,6 +176,21 @@ def test_linear_steps_monotone_in_data_and_source():
         assert np.all(b_hi >= b_lo - 1e-12)
 
 
+def test_linear_step_maps_any_leading_axes():
+    g = build_periodic_strip(8, 4, 2.0, 1.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.1)
+    stepper = stepper_module._LinearStepper(g, p, StepConfig(dt=0.01),
+                                            0.7, 1.3)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.0, 1.0, (3, 2, g.n_omega + g.n_gamma))
+    f = rng.uniform(0.0, 1.0, (3, 2, g.n_gamma))
+    h = rng.uniform(0.0, 1.0, (3, 2, g.n_gamma))
+    stacked = stepper.step(z, f, h)
+    assert stacked.shape == z.shape
+    for j in range(3):
+        assert np.array_equal(stacked[j], stepper.step(z[j], f[j], h[j]))
+
+
 # ---------------------------------------------------------------- coupled step
 
 
