@@ -27,8 +27,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diagnostics import (_fmt, audit_ckp, audit_degenerate_coupling,
-                          dense_oracle, fit_rate, record, write_series_csv)
+from .diagnostics import (_fmt, _record_batch, audit_ckp,
+                          audit_degenerate_coupling, dense_oracle, fit_rate,
+                          record, write_series_csv)
 from .errors import (LinearSolverError, MonotoneConvergenceError,
                      OracleFailure, StepFailure)
 from .grid import build_interval, build_periodic_strip, build_polar_disk
@@ -446,15 +447,48 @@ def _set_dotted(cfg: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
-def _sweep_run(template: dict, keys: list, combo: tuple) -> dict:
-    """One run of a sweep: the template with the combo's values set at the
-    dotted keys, integrated, with its fitted rate and mass drift. Module
-    level so that a process pool can pickle it."""
-    cfg = copy.deepcopy(template)
-    for key, value in zip(keys, combo):
-        _set_dotted(cfg, key, value)
-    _, geom, params, state0, step_cfg, t_end = _setup(cfg)
-    series = record(state0, geom, params, step_cfg, t_end)
+# rows of one lockstep batch of sweep runs. The dense part of a batch (one
+# capacitance system per row, one ka_interface per distinct (alpha, beta))
+# grows with its rows, and the gain flattens: 16 (alpha, beta) runs of 250
+# steps took 1.36, 0.69, 0.54 and 0.44 s in batches of 1, 4, 8 and 16 on a
+# 16x8 strip, 1.36, 0.62, 0.51 and 0.53 s on an 8x16 disk
+_SWEEP_BATCH_ROWS = 8
+# grid keys whose values the runs of one batch may differ in: none of them
+# enters K = diag(M/dt) - D, so one factorization serves the batch
+_BATCH_FREE_KEYS = ("params.alpha", "params.beta", "params.k_u", "params.k_v",
+                    "initial")
+
+
+def _batch_key(keys: list, combo: tuple) -> tuple:
+    """The combo's values at the grid keys that the runs of a batch share:
+    every key but _BATCH_FREE_KEYS and the keys inside "initial"."""
+    return tuple(json.dumps(value, sort_keys=True)
+                 for key, value in zip(keys, combo)
+                 if key not in _BATCH_FREE_KEYS
+                 and not key.startswith("initial."))
+
+
+def _sweep_batches(keys: list, combos: list, jobs: int) -> list:
+    """The combos' indices in lockstep batches, ordered by their first
+    index: the combos with one _batch_key, in grid order, cut into batches
+    of at most _SWEEP_BATCH_ROWS; while there are fewer batches than jobs,
+    the largest is halved."""
+    groups = {}
+    for i, combo in enumerate(combos):
+        groups.setdefault(_batch_key(keys, combo), []).append(i)
+    batches = [group[j:j + _SWEEP_BATCH_ROWS] for group in groups.values()
+               for j in range(0, len(group), _SWEEP_BATCH_ROWS)]
+    while len(batches) < jobs:
+        k = max(range(len(batches)), key=lambda b: len(batches[b]))
+        if len(batches[k]) == 1:
+            break
+        half = (len(batches[k]) + 1) // 2
+        batches[k:k + 1] = [batches[k][:half], batches[k][half:]]
+    return sorted(batches)
+
+
+def _sweep_result(series) -> dict:
+    """A sweep run's fitted rate and mass drift."""
     drift = float(np.max(np.abs(series.mass - series.mass[0])))
     try:
         fit = fit_rate(series)
@@ -465,14 +499,64 @@ def _sweep_run(template: dict, keys: list, combo: tuple) -> dict:
             "mass_drift": drift}
 
 
-def _sweep_pool(workers: int, template: dict, keys: list, combos: list):
-    """Results of _sweep_run over the combos, in order, on forked worker
-    processes (the default start method where fork is missing).
+def _sweep_setup(template: dict, keys: list, combo: tuple):
+    """_setup of the template with the combo's values set at the dotted
+    keys."""
+    cfg = copy.deepcopy(template)
+    for key, value in zip(keys, combo):
+        _set_dotted(cfg, key, value)
+    return _setup(cfg)
 
-    A fork inherits the imported modules; a fresh interpreter would spend
-    about half a second importing numpy and scipy again. The first failed
-    run, in grid order, cancels the queued ones and is raised as it would
-    be in-process."""
+
+def _sweep_batch(template: dict, keys: list, combos: list) -> list:
+    """One batch of a sweep: per combo, its run recorded and reduced by
+    _sweep_result. The runs march in lockstep (_record_batch), so the combos
+    must share their _batch_key. If any run fails, the runs go again one by
+    one, and the list ends with the exception of the first that fails.
+    Module level so that a process pool can pickle it."""
+    try:
+        runs = [_sweep_setup(template, keys, combo) for combo in combos]
+        # the runs share the geometry, the step and the horizon
+        _, geom, _, _, step_cfg, t_end = runs[0]
+        series = _record_batch([run[3] for run in runs], geom,
+                               [run[2] for run in runs], step_cfg, t_end)
+        return [_sweep_result(s) for s in series]
+    except Exception as exc:
+        if len(combos) == 1:
+            return [exc]
+    outcomes = []
+    for combo in combos:
+        outcomes += _sweep_batch(template, keys, [combo])
+        if isinstance(outcomes[-1], Exception):
+            break
+    return outcomes
+
+
+def _sweep_results(batches: list, n_runs: int, outcomes) -> list:
+    """The results of the n_runs runs of a sweep, from an iterable of the
+    batches' _sweep_batch outcomes, read lazily and in batch order. The
+    first failed run in grid order is raised, as if the runs had gone one
+    by one, as soon as no batch left to read can hold an earlier run."""
+    results = [None] * n_runs
+    failed = n_runs
+    starts = [batch[0] for batch in batches[1:]] + [n_runs]
+    for batch, batch_outcomes, start in zip(batches, outcomes, starts):
+        for i, outcome in zip(batch, batch_outcomes):
+            results[i] = outcome
+            if isinstance(outcome, Exception):
+                failed = min(failed, i)
+        if failed < start:
+            raise results[failed]
+    return results
+
+
+def _sweep_pool(workers: int, template: dict, keys: list, batches: list,
+                combos: list) -> list:
+    """_sweep_results of the batches of combos, run on forked worker
+    processes (the default start method where fork is missing). A fork
+    inherits the imported modules; a fresh interpreter would spend about
+    half a second importing numpy and scipy again. A raised failure
+    cancels the queued batches."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -481,8 +565,9 @@ def _sweep_pool(workers: int, template: dict, keys: list, combos: list):
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork" if fork else None))
     try:
-        return list(pool.map(_sweep_run, itertools.repeat(template),
-                             itertools.repeat(keys), combos))
+        return _sweep_results(batches, len(combos), pool.map(
+            _sweep_batch, itertools.repeat(template), itertools.repeat(keys),
+            [[combos[i] for i in batch] for batch in batches]))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -502,16 +587,19 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*(grid[k] for k in keys)))
     template = sweep_spec["template"]
 
-    workers = min(args.jobs, len(combos))
+    batches = _sweep_batches(keys, combos, args.jobs)
+    workers = min(args.jobs, len(batches))
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
         try:
-            results = _sweep_pool(workers, template, keys, combos)
+            results = _sweep_pool(workers, template, keys, batches, combos)
         except BrokenProcessPool as exc:  # a worker was killed or exited
             print(f"error: {exc}", file=sys.stderr)
             return 3
     else:
-        results = [_sweep_run(template, keys, c) for c in combos]
+        results = _sweep_results(batches, len(combos), (
+            _sweep_batch(template, keys, [combos[i] for i in batch])
+            for batch in batches))
 
     out = args.out if args.out is not None else "."
     os.makedirs(out, exist_ok=True)
@@ -571,8 +659,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid from a template")
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1,
-                   help="runs at once, each in a forked worker process "
-                        "(at most one per run)")
+                   help="forked worker processes, each marching one batch "
+                        "of runs at a time (at most one per batch)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

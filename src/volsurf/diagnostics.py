@@ -3,13 +3,16 @@
 A TraceSeries is the recorded history of one integration: conserved mass,
 entropy, dissipation, distance from equilibrium and the mixing/translation
 split of the relative entropy, one row per accepted step plus the initial
-state. record computes the rows in blocks: the observer it gives integrate
-only copies each state into a [row, unknown] buffer of at most
-_BLOCK_ELEMENTS numbers, and each full buffer, then the rest, goes through
-model's row-wise functionals in one vectorised pass. The rows are bitwise
-those of the one-State functionals, and memory does not grow with the
-horizon beyond the nine columns. All audits consume the series (or the raw
-state trajectory) after the fact; nothing here feeds back into the solvers.
+state. record reads the z-stacks of stepper._march, as comparison_pairs
+does, and computes the rows in blocks: each state is only copied into a
+[row, unknown] buffer of at most _BLOCK_ELEMENTS numbers, and each full
+buffer, then the rest, goes through model's row-wise functionals in one
+vectorised pass. The rows are bitwise those of the one-State functionals,
+and memory does not grow with the horizon beyond the nine columns.
+_record_batch records runs that share a stepper in lockstep, each with its
+own equilibrium, buffers and row checks; record is its one-run case. All
+audits consume the series (or the raw state trajectory) after the fact;
+nothing here feeds back into the solvers.
 
 The reference integrator is scipy's adaptive Dormand-Prince 8(5,3) (DOP853)
 on the identical semi-discrete system, run at a relative tolerance of 1e-13.
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import OracleFailure
 from .grid import GridGeometry
@@ -30,7 +34,10 @@ from .model import (Equilibrium, ModelParams, State, _decomposition_rows,
 # record evaluates blocks of rows and no longer calls these per state; they
 # stay importable here because the benchmark's tracer wraps them by this name
 from .model import dissipation, entropy, entropy_decomposition  # noqa: F401
-from .stepper import StepConfig, _stacked, integrate, semi_discrete_rhs
+from .stepper import StepConfig, _march, _stacked, semi_discrete_rhs
+# record marches the stepper itself; bound because the benchmark's tracer
+# wraps integrate by this name
+from .stepper import integrate  # noqa: F401
 
 __all__ = [
     "TraceSeries",
@@ -89,57 +96,94 @@ _BLOCK_ELEMENTS = 4096
 def _series_block(times, u, v, geom: GridGeometry, params: ModelParams,
                   eq: Equilibrium, e_eq: float) -> np.ndarray:
     """The SERIES_COLUMNS, as a fresh [column, row] array, of a block of
-    states u [row, n_omega], v [row, n_gamma] at the given times."""
-    e = _entropy_rows(u, v, geom, params)
-    i1, i2 = _decomposition_rows(u, v, geom, params, eq)
+    states u [row, n_omega], v [row, n_gamma] at the given times. The
+    x log x terms and the mass are evaluated once, for E and I1 and for the
+    mass column and the decomposition's check."""
+    xu, xv = xlogy(u, u), xlogy(v, v)
+    e = _entropy_rows(u, v, geom, params, xu, xv)
+    m = _mass_rows(u, v, geom, params)
+    i1, i2 = _decomposition_rows(u, v, geom, params, eq, m, xu, xv)
     return np.array((
-        times, _mass_rows(u, v, geom, params), e,
-        _dissipation_rows(u, v, geom, params), e - e_eq, i1, i2,
+        times, m, e, _dissipation_rows(u, v, geom, params), e - e_eq, i1, i2,
         np.vecdot(geom.omega_weights, np.abs(u - eq.u_inf)),
         np.vecdot(geom.gamma_weights, np.abs(v - eq.v_inf))))
+
+
+class _Recorder:
+    """The series rows of one run, relative to the equilibrium of its
+    initial mass: pushed states are copied into [row, unknown] buffers, and
+    each full buffer, then the rest, is evaluated as one block."""
+
+    def __init__(self, state0: State, geom: GridGeometry, params: ModelParams):
+        self.geom, self.params = geom, params
+        self.eq = solve_equilibrium(params, geom, mass(state0, geom, params))
+        self.e_eq = equilibrium_entropy(self.eq, geom, params)
+        n_rows = max(1, _BLOCK_ELEMENTS // (geom.n_omega + geom.n_gamma))
+        self.times = np.empty(n_rows)
+        self.u = np.empty((n_rows, geom.n_omega))
+        self.v = np.empty((n_rows, geom.n_gamma))
+        self.blocks = []
+        self.pending = 0
+        self.push(state0.time, state0.u, state0.v)
+
+    def push(self, time, u, v):
+        k = self.pending
+        self.times[k], self.u[k], self.v[k] = time, u, v
+        self.pending = k + 1
+        if self.pending == len(self.times):
+            self.flush()
+
+    def flush(self):
+        k, self.pending = self.pending, 0
+        if k:
+            self.blocks.append(_series_block(
+                self.times[:k], self.u[:k], self.v[:k], self.geom,
+                self.params, self.eq, self.e_eq))
+
+    def series(self, final: State) -> TraceSeries:
+        self.flush()
+        return TraceSeries(*np.concatenate(self.blocks, axis=1),
+                           equilibrium=self.eq, entropy_eq=self.e_eq,
+                           final=final)
+
+
+def _record_batch(states0, geom: GridGeometry, params, cfg: StepConfig,
+                  t_end: float) -> list:
+    """record of several runs at once, run i from states0[i] with params[i];
+    the TraceSeries of each. The runs march in lockstep as one z-stack
+    (stepper._march), so their params must share delta_u and delta_v.
+
+    A failure of any run is raised once the rows of every run are
+    evaluated, so that a row's error still comes out before the error of a
+    later step."""
+    recorders = [_Recorder(state0, geom, p)
+                 for state0, p in zip(states0, params)]
+    n_u = geom.n_omega
+    time, z = None, None
+    try:
+        for time, z in _march(states0, geom, params, cfg, t_end):
+            for rec, row in zip(recorders, z):
+                rec.push(time, row[:n_u], row[n_u:])
+    except Exception:
+        for rec in recorders:
+            rec.flush()
+        raise
+    finals = (states0 if z is None  # a zero span takes no step
+              else [State(row[:n_u], row[n_u:], time) for row in z])
+    return [rec.series(final) for rec, final in zip(recorders, finals)]
 
 
 def record(state0: State, geom: GridGeometry, params: ModelParams,
            cfg: StepConfig, t_end: float) -> TraceSeries:
     """Integrate and record observables at the initial state and after every
-    accepted step, relative to the equilibrium of the initial mass.
+    accepted step, relative to the equilibrium of the initial mass; the
+    one-run _record_batch.
 
     Rows are evaluated in blocks (module docstring). A row's error (a state
     whose mass left the equilibrium's) still comes out before the error of a
     later step, as if each row were evaluated when its step was taken."""
-    eq = solve_equilibrium(params, geom, mass(state0, geom, params))
-    e_eq = equilibrium_entropy(eq, geom, params)
-
-    n_rows = max(1, _BLOCK_ELEMENTS // (geom.n_omega + geom.n_gamma))
-    times = np.empty(n_rows)
-    u = np.empty((n_rows, geom.n_omega))
-    v = np.empty((n_rows, geom.n_gamma))
-    blocks = []
-    pending = 0
-
-    def flush():
-        nonlocal pending
-        k, pending = pending, 0
-        if k:
-            blocks.append(_series_block(times[:k], u[:k], v[:k], geom,
-                                        params, eq, e_eq))
-
-    def push(state):
-        nonlocal pending
-        times[pending], u[pending], v[pending] = state.time, state.u, state.v
-        pending += 1
-        if pending == n_rows:
-            flush()
-
-    push(state0)
-    try:
-        final = integrate(state0, geom, params, cfg, t_end, observer=push)
-    except Exception:
-        flush()
-        raise
-    flush()
-    return TraceSeries(*np.concatenate(blocks, axis=1), equilibrium=eq,
-                       entropy_eq=e_eq, final=final)
+    series, = _record_batch([state0], geom, [params], cfg, t_end)
+    return series
 
 
 def check_entropy_dissipation_identity(series: TraceSeries,

@@ -34,12 +34,14 @@ class StepFailure(RuntimeError):
     Attributes:
         residual_history: Newton residual norms up to the failure.
         time: simulation time at which the step was attempted.
+        row: the trajectory of the z-stack whose step failed, or None.
     """
 
-    def __init__(self, message, residual_history=None, time=None):
+    def __init__(self, message, residual_history=None, time=None, row=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
         self.time = time
+        self.row = row
 
 
 class MonotoneConvergenceError(RuntimeError):

@@ -76,8 +76,12 @@ def check_residual(a: sp.spmatrix, x: np.ndarray, rhs: np.ndarray,
     columns. Raises LinearSolverError (stats attached) unless every column
     meets ||Ax - rhs|| <= tol*||rhs|| with finite values.
     """
-    res = np.linalg.norm(a @ x - rhs, axis=0)
-    target = tol * np.linalg.norm(rhs, axis=0)
+    # one dot per column, over the columns as rows of the transposes; cheaper
+    # than np.linalg.norm(..., axis=0), which squares into a copy and sums
+    # across the strides
+    r = (a @ x - rhs).T
+    res = np.sqrt(np.vecdot(r, r))
+    target = tol * np.sqrt(np.vecdot(rhs.T, rhs.T))
     stats = SolveStats(float(np.max(res)))
     if not np.all(res <= target):
         raise LinearSolverError(

@@ -324,12 +324,17 @@ def equilibrium_state(eq: Equilibrium, geom: GridGeometry, time: float = 0.0) ->
                  np.full(geom.n_gamma, eq.v_inf), time)
 
 
-def _entropy_rows(u, v, geom: GridGeometry, params: ModelParams) -> np.ndarray:
+def _entropy_rows(u, v, geom: GridGeometry, params: ModelParams,
+                  xu=None, xv=None) -> np.ndarray:
+    """E per row; xu, xv are xlogy(u, u), xlogy(v, v) if the caller has
+    them."""
     _require_nonnegative("entropy", u, v)
+    if xu is None:
+        xu, xv = xlogy(u, u), xlogy(v, v)
     mu_u = math.log(params.k_u) / params.alpha
     mu_v = math.log(params.k_v) / params.beta
-    return (np.vecdot(geom.omega_weights, xlogy(u, u) - u + mu_u * u)
-            + np.vecdot(geom.gamma_weights, xlogy(v, v) - v + mu_v * v))
+    return (np.vecdot(geom.omega_weights, xu - u + mu_u * u)
+            + np.vecdot(geom.gamma_weights, xv - v + mu_v * v))
 
 
 def entropy(state: State, geom: GridGeometry, params: ModelParams) -> float:
@@ -401,18 +406,21 @@ def _bregman(x, x_inf):
 
 
 def _decomposition_rows(u, v, geom: GridGeometry, params: ModelParams,
-                        eq: Equilibrium):
-    m = _mass_rows(u, v, geom, params)
+                        eq: Equilibrium, m=None, xu=None, xv=None):
+    """(I1, I2) per row; m is the mass per row and xu, xv are
+    xlogy(u, u), xlogy(v, v) if the caller has them."""
+    if m is None:
+        m = _mass_rows(u, v, geom, params)
+    if xu is None:
+        xu, xv = xlogy(u, u), xlogy(v, v)
     off = np.abs(m - eq.mass) > 1e-8 * max(abs(eq.mass), 1.0)
     if off.any():
         raise ValueError(f"state mass {float(m[np.argmax(off)])!r} does not "
                          f"match equilibrium mass {eq.mass!r}")
     u_bar = np.vecdot(geom.omega_weights, u) / geom.omega_measure
     v_bar = np.vecdot(geom.gamma_weights, v) / geom.gamma_measure
-    i1 = (np.vecdot(geom.omega_weights,
-                    xlogy(u, u) - xlogy(u, u_bar[:, None]))
-          + np.vecdot(geom.gamma_weights,
-                      xlogy(v, v) - xlogy(v, v_bar[:, None])))
+    i1 = (np.vecdot(geom.omega_weights, xu - xlogy(u, u_bar[:, None]))
+          + np.vecdot(geom.gamma_weights, xv - xlogy(v, v_bar[:, None])))
     i2 = (geom.omega_measure * _bregman(u_bar, eq.u_inf)
           + geom.gamma_measure * _bregman(v_bar, eq.v_inf))
     return i1, i2

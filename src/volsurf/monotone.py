@@ -272,7 +272,7 @@ def comparison_pairs(pairs, geom: GridGeometry, params: ModelParams,
     worst = np.full(len(pairs), np.inf)
     worst_time = np.array([low.time for low, _ in pairs], dtype=float)
     states = [state for pair in pairs for state in pair]
-    for time, z in _march(states, geom, params, cfg, t_end):
+    for time, z in _march(states, geom, [params] * len(states), cfg, t_end):
         margins = np.min(z[1::2] - z[::2], axis=1)
         worst_time = np.where(margins < worst, time, worst_time)
         worst = np.minimum(worst, margins)

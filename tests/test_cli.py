@@ -808,12 +808,142 @@ def test_sweep_step_failure_fails_alike_in_workers(tmp_path, capsys):
     assert "Traceback" not in serial[1]
 
 
-def _die(template, keys, combo):
+def lockstep_sweep_spec(step, grid):
+    return {
+        "template": {
+            "geometry": {"kind": "strip", "nx": 4, "ny": 2, "width": 1.0,
+                         "height": 2.0},
+            "params": {"alpha": 1, "beta": 1, "delta_u": 1.0,
+                       "delta_v": 0.5},
+            "initial": {"kind": "cosine", "u0": 1.0, "v0": 0.5,
+                        "amplitude": 0.4},
+            "step": step,
+            "t_end": 1.0,
+        },
+        "grid": grid,
+    }
+
+
+def test_sweep_failure_order_matches_one_run_at_a_time(tmp_path, capsys,
+                                                      monkeypatch):
+    # at an absolute target of 1e-15 the alpha = 1 runs give up later than
+    # the alpha = 2 runs, so run 0, the first failure in grid order, is the
+    # last to fail in a lockstep batch
+    spec = lockstep_sweep_spec(
+        {"dt": 0.01, "newton_tol": 1e-15, "newton_max_iter": 3},
+        {"initial.amplitude": [0.4, 0.1], "params.alpha": [1, 2]})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    batches = []
+    real_batch = cli._record_batch
+    monkeypatch.setattr(cli, "_record_batch", lambda states, *a: batches.append(
+        len(states)) or real_batch(states, *a))
+    lockstep = sweep_errors(capsys, path, tmp_path)
+    # --jobs 1 marches the four runs together, and after a failure runs
+    # them one by one up to the first that fails
+    assert batches == [4, 1]
+    monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", 1)
+    one_by_one = sweep_errors(capsys, path, tmp_path)
+    assert batches == [4, 1, 1]
+    assert lockstep == one_by_one
+    rc, err = lockstep[0]
+    assert rc == 3
+    assert err == ("error: Newton did not reach tolerance in 3 iterations at "
+                   "t=0.07 (reduce dt)\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_stops_at_a_failing_first_run(tmp_path, capsys, monkeypatch):
+    # geometry.nx sorts first, so runs 0-3 and 4-7 are two lockstep
+    # groups; run 0 fails, and the second group never runs
+    spec = lockstep_sweep_spec(
+        {"dt": 0.01, "newton_tol": 1e-15, "newton_max_iter": 3},
+        {"geometry.nx": [4, 6], "initial.amplitude": [0.4, 0.1],
+         "params.alpha": [1, 2]})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    batches = []
+    real_batch = cli._record_batch
+    monkeypatch.setattr(cli, "_record_batch", lambda states, *a: batches.append(
+        len(states)) or real_batch(states, *a))
+    assert main(["sweep", path, "--out", str(tmp_path), "--jobs", "1"]) == 3
+    assert batches == [4, 1]
+    assert capsys.readouterr().err == (
+        "error: Newton did not reach tolerance in 3 iterations at t=0.07 "
+        "(reduce dt)\n")
+
+
+def test_sweep_results_read_no_batch_past_the_first_failure():
+    batches = [[0, 2], [1, 3], [4, 5]]
+    ok = {"C0_emp": 1.0}
+    late, early = ValueError("run 2"), ValueError("run 1")
+    for outcomes, raised, read in (
+            # run 2 fails; batch [1, 3] may hold an earlier failure
+            ([[ok, late], [ok, ok], [ok, ok]], late, 2),
+            ([[ok, late], [early]], early, 2),
+            ([[ok, ok], [ok, ok], [late]], late, 3)):
+        seen = []
+        with pytest.raises(ValueError) as exc:
+            cli._sweep_results(batches, 6, (
+                seen.append(o) or o for o in outcomes))
+        assert exc.value is raised and len(seen) == read
+    assert cli._sweep_results(batches, 6, [[ok, ok]] * 3) == [ok] * 6
+
+
+def test_sweep_with_interleaved_groups_is_byte_identical(tmp_path,
+                                                         monkeypatch):
+    # step.dt is the last grid key, so its two lockstep groups alternate in
+    # grid order: runs 0, 2, 4, 6 and runs 1, 3, 5, 7
+    spec = lockstep_sweep_spec(
+        {"dt": 0.05},
+        {"initial.amplitude": [0.2, 0.4], "params.beta": [1, 2.5],
+         "step.dt": [0.05, 0.04]})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    batches = []
+    real_batch = cli._record_batch
+    monkeypatch.setattr(cli, "_record_batch", lambda states, *a: batches.append(
+        len(states)) or real_batch(states, *a))
+    outputs = []
+    for jobs, rows in (("1", 8), ("2", 8), ("1", 1)):
+        monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", rows)
+        out = tmp_path / f"{jobs}-{rows}"
+        assert main(["sweep", path, "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert batches[:2] == [4, 4] and batches[2:] == [1] * 8
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].decode().splitlines()) == 9
+
+
+def test_sweep_batches_are_bounded_and_cut_for_jobs(monkeypatch):
+    keys = ["geometry", "initial.u0", "params.alpha", "params.k_v"]
+    combos = [(geo, u0, alpha, 1.0) for geo in ("strip", "disk")
+              for u0 in (1.0, 2.0) for alpha in (1, 2, 3)]
+    # one group per geometry, in grid order
+    assert cli._sweep_batches(keys, combos, 1) == [list(range(6)),
+                                                   list(range(6, 12))]
+    monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", 4)
+    assert cli._sweep_batches(keys, combos, 1) == [
+        [0, 1, 2, 3], [4, 5], [6, 7, 8, 9], [10, 11]]
+    # more jobs than batches: the largest batch is halved, first one first
+    assert cli._sweep_batches(keys, combos, 5) == [
+        [0, 1], [2, 3], [4, 5], [6, 7, 8, 9], [10, 11]]
+    assert cli._sweep_batches(keys, combos, 6) == [
+        [0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]
+    assert cli._sweep_batches(keys, combos, 64) == [[i] for i in range(12)]
+    # batches come in the order of their first runs
+    monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", 2)
+    assert cli._sweep_batches(["params.alpha", "step.dt"], [
+        (1, 0.1), (1, 0.2), (2, 0.1), (2, 0.2), (3, 0.1)], 4) == [
+            [0], [1, 3], [2], [4]]
+    # a key that enters K, here delta_u, splits the groups
+    assert cli._sweep_batches(["params.delta_u"], [(1.0,), (2.0,)], 1) == [
+        [0], [1]]
+
+
+def _die(template, keys, combos):
     os._exit(1)
 
 
 def test_sweep_dead_worker_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_sweep_run", _die)
+    monkeypatch.setattr(cli, "_sweep_batch", _die)
     path = write_config(tmp_path, geometry_sweep_spec(), name="sweep.json")
     assert main(["sweep", path, "--out", str(tmp_path), "--jobs", "2"]) == 3
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,56 @@ def test_record_blocks_match_one_state_functionals(kind, monkeypatch):
     for name, column in expected.items():
         assert np.array_equal(getattr(series, name), column), name
     assert np.array_equal(series.final.u, states[-1].u)
+
+
+def record_batch_runs(g, rng):
+    """(State, ModelParams) of runs that can share one lockstep batch."""
+    return [
+        (State(rng.uniform(0.2, 2.0, g.n_omega), rng.uniform(0.2, 2.0, g.n_gamma)),
+         ModelParams(alpha=2.0, beta=1.5, delta_u=1.0, delta_v=0.5, k_u=3.0)),
+        (State(rng.uniform(0.2, 2.0, g.n_omega), rng.uniform(0.2, 2.0, g.n_gamma)),
+         ModelParams(alpha=1.0, beta=3.0, delta_u=1.0, delta_v=0.5, k_v=0.3)),
+        (State(rng.uniform(0.0, 0.5, g.n_omega), rng.uniform(1.0, 4.0, g.n_gamma)),
+         ModelParams(alpha=1.5, beta=1.0, delta_u=1.0, delta_v=0.5)),
+    ]
+
+
+def test_record_batch_runs_match_record():
+    # every column of every run of a lockstep batch, and its final state,
+    # is bitwise the run recorded alone
+    g = build_periodic_strip(8, 4, 1.0, 2.0)
+    runs = record_batch_runs(g, np.random.default_rng(5))
+    cfg = StepConfig(dt=0.05)
+    states, params = zip(*runs)
+    batch = diagnostics._record_batch(states, g, params, cfg, 1.0)
+    assert len(batch) == len(runs)
+    n_columns = len(diagnostics.SERIES_COLUMNS)
+    for series, (s0, p) in zip(batch, runs):
+        alone = record(s0, g, p, cfg, 1.0)
+        assert len(series) == 21
+        for column in dataclasses.fields(TraceSeries)[:n_columns]:
+            assert np.array_equal(getattr(series, column.name),
+                                  getattr(alone, column.name)), column.name
+        assert np.array_equal(series.final.u, alone.final.u)
+        assert np.array_equal(series.final.v, alone.final.v)
+        assert series.final.time == alone.final.time
+        assert series.entropy_eq == alone.entropy_eq
+
+
+def test_record_batch_raises_the_failure_of_a_run():
+    # a run whose rates overflow fails the batch with its own StepFailure
+    g = build_periodic_strip(8, 4, 1.0, 2.0)
+    runs = record_batch_runs(g, np.random.default_rng(5))
+    runs.insert(1, (State(np.full(g.n_omega, 1e200), np.ones(g.n_gamma)),
+                    ModelParams(alpha=3.0, beta=1.0, delta_u=1.0,
+                                delta_v=0.5)))
+    cfg = StepConfig(dt=0.05)
+    with np.errstate(all="ignore"), pytest.raises(StepFailure) as alone:
+        record(runs[1][0], g, runs[1][1], cfg, 1.0)
+    states, params = zip(*runs)
+    with np.errstate(all="ignore"), pytest.raises(StepFailure) as batch:
+        diagnostics._record_batch(states, g, params, cfg, 1.0)
+    assert batch.value.row == 1 and str(batch.value) == str(alone.value)
 
 
 def test_record_row_error_comes_before_a_later_step_failure(monkeypatch):

@@ -444,7 +444,7 @@ def test_marched_pair_matches_separate_integrations():
     high = State(low.u + rng.uniform(0.0, 1.0, g.n_omega),
                  low.v + rng.uniform(0.0, 1.0, g.n_gamma))
     cfg = StepConfig(dt=0.02)
-    marched = list(_march((low, high), g, p, cfg, 0.3))
+    marched = list(_march((low, high), g, (p, p), cfg, 0.3))
     assert len(marched) == 15
     for j, s0 in enumerate((low, high)):
         alone = []

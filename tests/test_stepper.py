@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,7 @@ from volsurf.errors import LinearSolverError, StepFailure
 from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
 from volsurf.model import (ModelParams, State, entropy, equilibrium_state,
                            mass, solve_equilibrium)
-from volsurf.stepper import (StepConfig, _CoupledStepper, integrate,
+from volsurf.stepper import (StepConfig, _CoupledStepper, _march, integrate,
                              linear_bulk_step, linear_surface_step,
                              semi_discrete_rhs)
 
@@ -241,16 +243,27 @@ def test_integrate_first_order_in_dt():
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.5)
 
 
+def one_row(geom, params, cfg):
+    return _CoupledStepper(geom, [params], cfg)
+
+
+def row_factors(stepper):
+    """The _RowFactors of the one row of a one-row stepper."""
+    return stepper._factors(np.zeros(1, dtype=int))
+
+
 def assembled_jacobian(stepper, z):
-    """K + A B^T of the coupled stepper as one sparse matrix, built from the
-    formulas rather than through the capacitance solve: K = diag(M/dt) - D,
-    A the fixed reaction weights, B the rate partials at z."""
-    g, p = stepper.geom, stepper.params
+    """K + A B^T of a one-row coupled stepper as one sparse matrix, built
+    from the formulas rather than through the capacitance solve:
+    K = diag(M/dt) - D, A the fixed reaction weights, B the rate partials
+    at z."""
+    g, p = stepper.geom, stepper.params[0]
     n_u, n_g = g.n_omega, g.n_gamma
     rows = np.concatenate([g.trace_cells, n_u + np.arange(n_g)])
     cols = np.tile(np.arange(n_g), 2)
     wg = g.gamma_weights
-    dpu, dpv = stepper._partials(z[stepper.interface])
+    dpu, dpv = (x[0] for x in stepper._partials(z[None, stepper.interface],
+                                                  row_factors(stepper)))
     a = sp.csc_matrix((np.concatenate([p.alpha * wg, -p.beta * wg]),
                        (rows, cols)), shape=(n_u + n_g, n_g))
     b = sp.csc_matrix((np.concatenate([dpu, -dpv]), (rows, cols)),
@@ -266,7 +279,8 @@ def test_newton_jacobian_matches_finite_differences():
     g = build_periodic_strip(6, 3, 2.0, 1.0)
     p = ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
                     k_u=1.3, k_v=0.8)
-    stepper = _CoupledStepper(g, p, StepConfig(dt=0.05))
+    stepper = one_row(g, p, StepConfig(dt=0.05))
+    f = row_factors(stepper)
     rng = np.random.default_rng(3)
     n = g.n_omega + g.n_gamma
     z = rng.uniform(0.5, 2.0, n)
@@ -279,8 +293,9 @@ def test_newton_jacobian_matches_finite_differences():
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        fd[:, j] = (stepper._residual(z + e, z_old)
-                    - stepper._residual(z - e, z_old)) / (2.0 * h)
+        fd[:, j] = (stepper._residual((z + e)[None], z_old[None], f)
+                    - stepper._residual((z - e)[None], z_old[None], f)
+                    )[0] / (2.0 * h)
     action = jac @ np.eye(n)
     assert np.max(np.abs(action - fd)) <= 1e-7 * np.max(np.abs(action))
 
@@ -298,36 +313,41 @@ def test_capacitance_update_matches_sparse_solve(geom, params):
     # two Newton iterations of one pass, each against a sparse solve of the
     # assembled Jacobian: the first from an arbitrary z, the second from the
     # iterate base - K^{-1}A p it produced, whose residual is A g
-    stepper = _CoupledStepper(geom, params, StepConfig(dt=0.1))
+    stepper = one_row(geom, params, StepConfig(dt=0.1))
     rows = stepper.interface
+    ka = stepper.ka_interface
+    f = row_factors(stepper)
     rng = np.random.default_rng(7)
     n = geom.n_omega + geom.n_gamma
-    z = rng.uniform(0.2, 2.0, n)
-    z_old = rng.uniform(0.2, 2.0, n)
+    z = rng.uniform(0.2, 2.0, (1, n))
+    z_old = rng.uniform(0.2, 2.0, (1, n))
 
-    res = stepper._residual(z, z_old)
+    res = stepper._residual(z, z_old, f)[0]
     y = stepper.lu.solve(-res)
-    p = stepper._interface_update(z[rows], 0.0, y[rows])
-    z1 = z + y - stepper.lu.solve(stepper._spread(p))
-    expected = spla.spsolve(assembled_jacobian(stepper, z), -res)
-    assert np.linalg.norm(z1 - z - expected) <= 1e-12 * np.linalg.norm(expected)
+    p = stepper._interface_update(z[:, rows], np.zeros((1, geom.n_gamma)),
+                                  y[None, rows], f, ka)[0]
+    z1 = z[0] + y - stepper.lu.solve(stepper._spread(p[None], f)[0])
+    expected = spla.spsolve(assembled_jacobian(stepper, z[0]), -res)
+    assert (np.linalg.norm(z1 - z[0] - expected)
+            <= 1e-12 * np.linalg.norm(expected))
 
-    zg1 = z[rows] + y[rows] - stepper.ka_interface @ p
+    zg1 = z[0, rows] + y[rows] - ka[0] @ p
     assert np.allclose(zg1, z1[rows], rtol=1e-13, atol=0.0)
-    g = stepper._rates(zg1) - stepper._rates(z[rows]) - p
-    res1 = stepper._residual(z1, z_old)
-    assert np.allclose(res1, stepper._spread(g), rtol=0.0,
+    g = stepper._rates(zg1[None], f) - stepper._rates(z[:, rows], f) - p
+    res1 = stepper._residual(z1[None], z_old, f)[0]
+    assert np.allclose(res1, stepper._spread(g, f)[0], rtol=0.0,
                        atol=1e-12 * np.linalg.norm(res1))
-    dp = stepper._interface_update(zg1, g)
+    dp = stepper._interface_update(zg1[None], g, None, f, ka)
     expected = spla.spsolve(assembled_jacobian(stepper, z1), -res1)
-    got = -stepper.lu.solve(stepper._spread(dp))
+    got = -stepper.lu.solve(stepper._spread(dp, f)[0])
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_iterating_step_does_two_sparse_solves(monkeypatch):
     # two solves is the floor with O(n + n_gamma^2) storage, also for the
     # linear alpha = beta = 1 case: the first gives the interface values of
-    # K^-1(-F) before p is known, the second forms z from K^-1(A p)
+    # K^-1(-F) before p is known, the second forms z from K^-1(A p). A batch
+    # takes the same two solves, each with one column per row.
     g = build_periodic_strip(16, 8, 1.0, 1.0)
     solves, updates = [], []
 
@@ -336,17 +356,19 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
             self.lu = lu
 
         def solve(self, rhs):
-            if rhs.ndim == 1:  # the construction's column chunks are 2-D
-                solves.append(1)
+            solves.append(rhs.shape[1:])
             return self.lu.solve(rhs)
 
     real_factor = linsolve.factor
     monkeypatch.setattr(linsolve, "factor", lambda a: CountingLU(real_factor(a)))
-    for alpha, beta, min_updates in ((2.0, 3.0, 2), (1.0, 1.0, 1)):
-        p = ModelParams(alpha=alpha, beta=beta, delta_u=1.0, delta_v=0.5)
+    orders = {(2.0, 3.0): 2, (1.0, 1.0): 1, (1.5, 2.0): 2}
+    batches = [[order] for order in orders] + [list(orders)]
+    for batch in batches:
+        params = [ModelParams(alpha=alpha, beta=beta, delta_u=1.0,
+                              delta_v=0.5) for alpha, beta in batch]
         rng = np.random.default_rng(4)
-        z = rng.uniform(0.2, 2.0, (1, g.n_omega + g.n_gamma))
-        stepper = _CoupledStepper(g, p, StepConfig(dt=0.05))
+        z = rng.uniform(0.2, 2.0, (len(batch), g.n_omega + g.n_gamma))
+        stepper = _CoupledStepper(g, params, StepConfig(dt=0.05))
         real_update = stepper._interface_update
         monkeypatch.setattr(stepper, "_interface_update",
                             lambda *a, real=real_update:
@@ -355,24 +377,103 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
             solves.clear()
             updates.clear()
             z = stepper.step(z, 0.0)
-            assert len(updates) >= min_updates  # Newton iterations ...
-            assert len(solves) == 2             # ... and two sparse solves
+            # Newton iterations, as many as the slowest row needs ...
+            assert len(updates) >= max(orders[order] for order in batch)
+            # ... and two sparse solves, each of every row
+            assert solves == [(len(batch),)] * 2
+
+
+LOCKSTEP_GEOMETRIES = {
+    "strip": (lambda: build_periodic_strip(16, 8, 1.0, 2.0), 0.5),
+    "disk": (lambda: build_polar_disk(8, 16, 1.0), 0.5),
+    "interval": (lambda: build_interval(12, 1.0), 0.0),
+}
+# (alpha, beta, k_u, k_v) of the rows of a lockstep batch: the exponents
+# mixed, with repeats, so that rows share some powers and not others, at
+# evenly spaced rows (beta) and not (alpha = 1.5)
+LOCKSTEP_ROWS = ((1.0, 1.0, 1.0, 1.0), (1.5, 2.0, 2.0, 0.5),
+                 (2.0, 3.0, 0.7, 1.3), (3.0, 1.5, 1.0, 2.0),
+                 (1.5, 1.0, 5.0, 0.2), (1.5, 1.5, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", sorted(LOCKSTEP_GEOMETRIES))
+def test_lockstep_rows_match_single_runs(kind):
+    # every step of every row of a batch is bitwise its run alone, while
+    # the rows need different iteration counts and leave Newton apart
+    build, delta_v = LOCKSTEP_GEOMETRIES[kind]
+    g = build()
+    params = [ModelParams(alpha=a, beta=b, delta_u=1.0, delta_v=delta_v,
+                          k_u=k_u, k_v=k_v) for a, b, k_u, k_v in LOCKSTEP_ROWS]
+    rng = np.random.default_rng(11)
+    states = [State(rng.uniform(0.05, 2.0, g.n_omega) * scale,
+                    rng.uniform(0.05, 2.0, g.n_gamma))
+              for scale in (1.0, 0.5, 2.0, 1.0, 0.2, 3.0)]
+    cfg = StepConfig(dt=0.05)
+    marched = list(_march(states, g, params, cfg, 0.5))
+    assert len(marched) == 10
+    for j, (s0, p) in enumerate(zip(states, params)):
+        alone = []
+        integrate(s0, g, p, cfg, 0.5, observer=alone.append)
+        for (time, z), ref in zip(marched, alone):
+            assert time == ref.time
+            assert np.array_equal(z[j, :g.n_omega], ref.u), (j, time)
+            assert np.array_equal(z[j, g.n_omega:], ref.v), (j, time)
+
+
+def test_lockstep_power_raises_each_row_to_its_own_exponent_only():
+    # an alpha = 1 row of 1e120 next to an alpha = 3 row must not be cubed
+    x = np.array([[1e120, 2.0], [2.0, 3.0]])
+    with np.errstate(all="raise"):
+        got = stepper_module._power(x, ((1.0, np.array([0])),
+                                        (3.0, np.array([1]))))
+    assert np.array_equal(got, [[1e120, 2.0], [8.0, 27.0]])
+
+
+def test_lockstep_batch_rejects_rows_that_differ_in_k():
+    g = build_periodic_strip(4, 2, 1.0, 1.0)
+    s0 = State(np.ones(g.n_omega), np.full(g.n_gamma, 0.5))
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    cfg = StepConfig(dt=0.05)
+    for what, value in (("delta_u", 2.0), ("delta_v", 0.1)):
+        params = [p, dataclasses.replace(p, **{what: value})]
+        with pytest.raises(ValueError, match=what):
+            next(_march([s0, s0], g, params, cfg, 0.5))
+        with pytest.raises(ValueError, match=what):
+            _CoupledStepper(g, params, cfg)
+
+
+def test_lockstep_step_failure_names_its_row():
+    # the second row cannot take a step of dt = 10 in one Newton iteration,
+    # the fixed points next to it can; the batch fails with the row's own
+    # message and residual history
+    g = build_interval(4, 1.0)
+    p = interval_params(alpha=3.0, beta=1.0)
+    low = State(np.zeros(g.n_omega), np.zeros(g.n_gamma))
+    high = State(np.full(g.n_omega, 5.0), np.zeros(g.n_gamma))
+    cfg = StepConfig(dt=10.0, newton_max_iter=1, newton_tol=1e-14)
+    with pytest.raises(StepFailure) as alone:
+        integrate(high, g, p, cfg, 30.0)
+    with pytest.raises(StepFailure) as batch:
+        list(_march([low, high, low], g, [p] * 3, cfg, 30.0))
+    assert batch.value.row == 1 and str(batch.value) == str(alone.value)
+    assert batch.value.residual_history == alone.value.residual_history
+    assert batch.value.time == alone.value.time == 0.0
 
 
 def test_chunked_interface_rows_match_one_solve(monkeypatch):
     g = build_polar_disk(6, 12, 1.0)
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.3)
-    whole = _CoupledStepper(g, p, StepConfig(dt=0.1)).ka_interface
+    whole = one_row(g, p, StepConfig(dt=0.1)).ka_interface
     monkeypatch.setattr(stepper_module, "_CHUNK_COLUMNS", 5)
-    chunked = _CoupledStepper(g, p, StepConfig(dt=0.1)).ka_interface
-    assert chunked.shape == (2 * g.n_gamma, g.n_gamma)
+    chunked = one_row(g, p, StepConfig(dt=0.1)).ka_interface
+    assert chunked.shape == (1, 2 * g.n_gamma, g.n_gamma)
     assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
 def test_stepper_holds_no_dense_n_by_n_gamma_array():
     g = build_periodic_strip(64, 32, 2.0, 1.0)
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
-    stepper = _CoupledStepper(g, p, StepConfig(dt=0.01))
+    stepper = one_row(g, p, StepConfig(dt=0.01))
     stepper.step(np.concatenate([np.ones((1, g.n_omega)),
                                  np.full((1, g.n_gamma), 0.5)], axis=1), 0.0)
     limit = (g.n_omega + g.n_gamma) * g.n_gamma
@@ -385,8 +486,7 @@ def test_stepper_holds_no_dense_n_by_n_gamma_array():
 @pytest.mark.parametrize("failure", ["nonfinite", "singular"])
 def test_capacitance_failure_raises_linear_solver_error(monkeypatch, failure):
     g = build_interval(4, 1.0)
-    stepper = _CoupledStepper(g, interval_params(alpha=2.0),
-                              StepConfig(dt=0.1))
+    stepper = one_row(g, interval_params(alpha=2.0), StepConfig(dt=0.1))
 
     def broken_solve(a, b):
         if failure == "singular":
