@@ -20,16 +20,21 @@ solve (Woodbury; Hager, SIAM Review 1989). The iterations run on the
 interface values only (the trace cells and the surface patches), reading the
 2 n_Gamma x n_Gamma interface rows of K^{-1}A, so a step that iterates does
 two sparse solves whatever its iteration count and the stepper stores
-O(n + n_Gamma^2) numbers per distinct (alpha, beta); see _CoupledStepper.
-All factorizations go through linsolve.factor.
+O(n + n_Gamma^2) numbers per distinct (alpha, beta) plus one n_Gamma x
+n_Gamma LU per row; see _CoupledStepper. The sparse factorizations go
+through linsolve.factor; the dense capacitance systems are factored and
+solved per row through LAPACK (dgetrf, dgetrs), and the first Newton
+iteration of a row's step solves with the last LU the row factored, as
+stiff solvers reuse their Jacobians (Hairer and Wanner, Solving ODEs II,
+IV.8).
 
 Each row of a coupled stepper's z-stack has its own ModelParams. K does not
 depend on alpha, beta, k_u or k_v, so rows that share delta_u and delta_v
 share the factorization, and their Newton iterations run in lockstep: one
-multi-column sparse solve and one batched capacitance solve serve every row,
-and each row rounds bitwise as it would alone. _march advances States as one
-z-stack on one coupled stepper, each with its own parameters; integrate is
-its one-State case and builds the States.
+multi-column sparse solve serves every row, each row solves its own
+capacitance system, and each row rounds bitwise as it would alone. _march
+advances States as one z-stack on one coupled stepper, each with its own
+parameters; integrate is its one-State case and builds the States.
 """
 
 import dataclasses
@@ -39,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import linsolve
 from .errors import LinearSolverError, StepFailure
@@ -324,14 +330,25 @@ class _CoupledStepper:
     solve forms z = base - K^{-1}(A p); it must meet the full residual test,
     else the next pass starts from it.
 
+    Each row factors its capacitance system I + B^T ka_interface in place
+    in its own buffer (LAPACK dgetrf) and keeps the LU and pivots of the
+    last one. The first iteration of the row's next step solves with them
+    (dgetrs) instead of factoring: they were taken at the previous step's
+    second-to-last iterate, one Newton increment away, so that update is
+    nearly exact Newton and the iteration count does not grow. Every later
+    iteration factors afresh; a chord iteration over a whole pass ran out
+    of iterations. A row without factors (its first step, or one on which
+    it has not iterated) factors.
+
     The rows iterate in lockstep. A pass of the rows above their targets is
-    one multi-column sparse solve, one batched capacitance solve per Newton
+    one multi-column sparse solve, one capacitance solve per row and Newton
     iteration and one more multi-column solve to form the iterates; a row
     keeps its values once its iteration ends, and leaves at the end of the
     pass once it has converged. Each operation rounds a row as the one-row
     stepper does (one gemv per row, one scalar-exponent power per distinct
-    exponent on the rows that use it, one BLAS dot per norm), so a row of a
-    batch is bitwise its single run.
+    exponent on the rows that use it, one BLAS dot per norm, one LAPACK
+    factor or solve per row, reused or not by the row's own history), so a
+    row of a batch is bitwise its single run.
 
     Both sparse solves are in increment form: their right-hand sides, -F(z)
     and A p, are the step's change, not the state. A solve's round-off
@@ -374,6 +391,11 @@ class _CoupledStepper:
                 a = np.zeros((n_u + n_g, cols.size))
                 a[rows[:, cols], cols - j] = w[:, cols]
                 ka[:, cols] = self.lu.solve(a)[self.interface]
+        # per row, the LU factors and pivots of the last capacitance system
+        # it factored (None before its first), in its own n_Gamma x n_Gamma
+        # buffer
+        self._caps = np.empty((len(params), n_g, n_g))
+        self._cap_lu = [None] * len(params)
         self._row_sets = {}
         self._all_rows = np.arange(len(params))
 
@@ -450,24 +472,38 @@ class _CoupledStepper:
         return (f.k_u_alpha * _power(ut, f.alpha, 1.0),
                 f.k_v_beta * _power(vc, f.beta, 1.0))
 
-    def _interface_update(self, zg, g, dg, f: _RowFactors, ka):
+    def _interface_update(self, zg, g, dg, f: _RowFactors, rows, reuse):
         """Newton increment of p at the interface values zg, row by row:
         (I + B^T ka)^{-1} (g + B^T dg), B the rate partials at zg and ka the
-        row's ka_interface. g is the iterate's residual coefficient and dg
-        the part of its interface values that p does not carry: on the first
-        iteration of a pass g = 0 and dg is the first solve's change, after
-        it dg = None."""
+        row's ka_interface; rows are the stepper rows of zg. g is the
+        iterate's residual coefficient and dg the part of its interface
+        values that p does not carry: on the first iteration of a pass g = 0
+        and dg is the first solve's change, after it dg = None.
+
+        Each row assembles its capacitance system I + B^T ka in its own
+        buffer and factors it in place through LAPACK, keeping the factors.
+        With reuse, a row that holds factors solves with them instead."""
         n_g = self.geom.n_gamma
         dpu, dpv = self._partials(zg, f)
-        cap = dpu[..., None] * ka[:, :n_g] - dpv[..., None] * ka[:, n_g:]
-        cap.reshape(len(cap), -1)[:, ::n_g + 1] += 1.0
         if dg is not None:
             g = g + dpu * dg[:, :n_g] - dpv * dg[:, n_g:]
-        try:
-            dp = np.linalg.solve(cap, g[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolverError(
-                "Newton capacitance system is singular") from exc
+        dp = np.empty_like(g)
+        for i, row in enumerate(rows.tolist()):
+            if not (reuse and self._cap_lu[row]):
+                # the buffer holds the system in C order, so its .T is the
+                # Fortran-ordered transpose: LAPACK factors that in place
+                # and solves with trans=1
+                cap, ka = self._caps[row], self.ka_interface[self.order[row]]
+                np.multiply(dpu[i, :, None], ka[:n_g], out=cap)
+                cap -= dpv[i, :, None] * ka[n_g:]
+                cap.reshape(-1)[::n_g + 1] += 1.0
+                self._cap_lu[row] = None
+                lu, piv, info = dgetrf(cap.T, overwrite_a=1)
+                if info > 0:
+                    raise LinearSolverError(
+                        "Newton capacitance system is singular")
+                self._cap_lu[row] = lu, piv
+            dp[i] = dgetrs(*self._cap_lu[row], g[i], trans=1)[0]
         if not np.isfinite(dp).all():
             raise LinearSolverError("Newton capacitance solve is not finite")
         return dp
@@ -505,6 +541,7 @@ class _CoupledStepper:
         its = np.zeros(len(z_old), dtype=int)  # Newton iterations per row
         z = z_old.copy()
         going = np.flatnonzero(norms > target)
+        first_pass = True
         while going.size:
             # one pass of every row above its target: rebase at z, Newton on
             # p, then form the iterates
@@ -532,7 +569,11 @@ class _CoupledStepper:
                         f"Newton did not reach tolerance in "
                         f"{cfg.newton_max_iter} iterations at t={time:g} "
                         f"(reduce dt)", which[np.argmax(before)])
-                p_new = p + self._interface_update(zg, g, dg, fa, ka)
+                # a row's first iteration of the step solves with the
+                # factors of its last system, taken one Newton increment
+                # away; every later iteration factors afresh
+                p_new = p + self._interface_update(zg, g, dg, fa, which,
+                                                   first_pass and k == 0)
                 dg = None
                 # a row is done once its update is below float resolution
                 # (its p stays) or its residual meets the target
@@ -554,6 +595,7 @@ class _CoupledStepper:
                     spent_at = cfg.newton_max_iter - before.max()
                     fa = self._factors(which)
                     ka = self.ka_interface[fa.ka]
+            first_pass = False
             z_new = base - self.lu.solve(self._spread(p_pass, f).T).T
             # an iterate equal to z is below float resolution: the row is done
             moved = (z_new != z_pass).any(axis=1)

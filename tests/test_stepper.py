@@ -312,11 +312,13 @@ def test_newton_jacobian_matches_finite_differences():
 def test_capacitance_update_matches_sparse_solve(geom, params):
     # two Newton iterations of one pass, each against a sparse solve of the
     # assembled Jacobian: the first from an arbitrary z, the second from the
-    # iterate base - K^{-1}A p it produced, whose residual is A g
+    # iterate base - K^{-1}A p it produced, whose residual is A g. A third
+    # update with reuse solves with the factors of the second's system.
     stepper = one_row(geom, params, StepConfig(dt=0.1))
     rows = stepper.interface
     ka = stepper.ka_interface
     f = row_factors(stepper)
+    row = np.zeros(1, dtype=int)
     rng = np.random.default_rng(7)
     n = geom.n_omega + geom.n_gamma
     z = rng.uniform(0.2, 2.0, (1, n))
@@ -325,7 +327,7 @@ def test_capacitance_update_matches_sparse_solve(geom, params):
     res = stepper._residual(z, z_old, f)[0]
     y = stepper.lu.solve(-res)
     p = stepper._interface_update(z[:, rows], np.zeros((1, geom.n_gamma)),
-                                  y[None, rows], f, ka)[0]
+                                  y[None, rows], f, row, True)[0]
     z1 = z[0] + y - stepper.lu.solve(stepper._spread(p[None], f)[0])
     expected = spla.spsolve(assembled_jacobian(stepper, z[0]), -res)
     assert (np.linalg.norm(z1 - z[0] - expected)
@@ -337,10 +339,13 @@ def test_capacitance_update_matches_sparse_solve(geom, params):
     res1 = stepper._residual(z1[None], z_old, f)[0]
     assert np.allclose(res1, stepper._spread(g, f)[0], rtol=0.0,
                        atol=1e-12 * np.linalg.norm(res1))
-    dp = stepper._interface_update(zg1[None], g, None, f, ka)
+    dp = stepper._interface_update(zg1[None], g, None, f, row, False)
     expected = spla.spsolve(assembled_jacobian(stepper, z1), -res1)
     got = -stepper.lu.solve(stepper._spread(dp, f)[0])
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the partials at z instead of zg1 would change a factored system
+    reused = stepper._interface_update(z[:, rows], g, None, f, row, True)
+    assert np.array_equal(reused, dp)
 
 
 def test_iterating_step_does_two_sparse_solves(monkeypatch):
@@ -420,6 +425,76 @@ def test_lockstep_rows_match_single_runs(kind):
             assert np.array_equal(z[j, g.n_omega:], ref.v), (j, time)
 
 
+def counting_getrf(monkeypatch):
+    """Patch the stepper's LAPACK factorization to count its calls; return
+    the list it appends to."""
+    calls, real = [], stepper_module.dgetrf
+    monkeypatch.setattr(stepper_module, "dgetrf",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_first_iteration_of_a_step_reuses_the_last_factors(monkeypatch):
+    # every step after the first factors one system fewer than it iterates:
+    # its first iteration solves with the last factors of the step before,
+    # and that chord update costs no extra iteration
+    g = build_periodic_strip(16, 8, 1.0, 2.0)
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
+    z0 = np.concatenate([1.0 + 0.4 * np.cos(2.0 * np.pi * g.omega_unit_coord),
+                         0.5 + 0.4 * np.cos(2.0 * np.pi * g.gamma_unit_coord)]
+                        )[None]
+    cfg = StepConfig(dt=0.02)
+    factored = counting_getrf(monkeypatch)
+    stepper = one_row(g, p, cfg)
+    iterations = []
+    real_update = stepper._interface_update
+    monkeypatch.setattr(stepper, "_interface_update",
+                        lambda *a: iterations.append(1) or real_update(*a))
+    marched, z = [], z0
+    for n in range(50):
+        iterations.clear()
+        factored.clear()
+        z = stepper.step(z, n * cfg.dt)
+        marched.append(z)
+        assert 1 <= len(iterations) <= 3, n
+        assert len(factored) == len(iterations) - (n > 0), n
+    # a fresh stepper, holding no factors, marches the same states bitwise
+    again, z = one_row(g, p, cfg), z0
+    for n, ref in enumerate(marched):
+        z = again.step(z, n * cfg.dt)
+        assert np.array_equal(z, ref), n
+
+
+def test_lockstep_row_without_factors_leaves_the_others_reusing(monkeypatch):
+    # row 0 starts at its equilibrium, so it never iterates and never holds
+    # factors; the moving rows still reuse theirs, each row is bitwise its
+    # single run, and the batch factors as often as the runs alone
+    g = build_periodic_strip(16, 8, 1.0, 2.0)
+    params = [ModelParams(alpha=a, beta=b, delta_u=1.0, delta_v=0.5)
+              for a, b in ((2.0, 1.0), (2.0, 1.0), (1.5, 3.0), (1.0, 2.0))]
+    rng = np.random.default_rng(9)
+    z0 = rng.uniform(0.2, 2.0, (len(params), g.n_omega + g.n_gamma))
+    z0[0] = 1.0
+    cfg = StepConfig(dt=0.05)
+    factored = counting_getrf(monkeypatch)
+    batch, z = _CoupledStepper(g, params, cfg), z0
+    marched = []
+    for n in range(10):
+        z = batch.step(z, n * cfg.dt)
+        marched.append(z)
+    assert np.array_equal(marched[-1][0], z0[0])
+    assert batch._cap_lu[0] is None
+    assert all(batch._cap_lu[1:])
+    in_batch = len(factored)
+    factored.clear()
+    for j, p in enumerate(params):
+        alone, z = one_row(g, p, cfg), z0[j:j + 1]
+        for n, ref in enumerate(marched):
+            z = alone.step(z, n * cfg.dt)
+            assert np.array_equal(z[0], ref[j]), (j, n)
+    assert in_batch == len(factored)
+
+
 def test_lockstep_power_raises_each_row_to_its_own_exponent_only():
     # an alpha = 1 row of 1e120 next to an alpha = 3 row must not be cubed
     x = np.array([[1e120, 2.0], [2.0, 3.0]])
@@ -483,21 +558,36 @@ def test_stepper_holds_no_dense_n_by_n_gamma_array():
     assert max(sizes.values()) < limit, sizes
 
 
-@pytest.mark.parametrize("failure", ["nonfinite", "singular"])
+@pytest.mark.parametrize("failure", ["nonfinite", "singular",
+                                     "reused nonfinite"])
 def test_capacitance_failure_raises_linear_solver_error(monkeypatch, failure):
+    # the failure is injected into the LAPACK factor or solve; in the reused
+    # case the first step stores factors and the second step's first
+    # iteration solves with them before it factors anything
     g = build_interval(4, 1.0)
     stepper = one_row(g, interval_params(alpha=2.0), StepConfig(dt=0.1))
-
-    def broken_solve(a, b):
-        if failure == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        return np.full_like(b, np.nan)
-
-    monkeypatch.setattr(np.linalg, "solve", broken_solve)
     z = np.concatenate([np.full((1, g.n_omega), 2.0),
                         np.full((1, g.n_gamma), 0.5)], axis=1)
-    with pytest.raises(LinearSolverError):
-        stepper.step(z, 0.0)
+    if failure == "reused nonfinite":
+        z = stepper.step(z, 0.0)
+    real_getrf, real_getrs = stepper_module.dgetrf, stepper_module.dgetrs
+    factored = []
+
+    def broken_getrf(a, overwrite_a=0):
+        factored.append(a.shape)
+        lu, piv, info = real_getrf(a, overwrite_a=overwrite_a)
+        return lu, piv, 1 if failure == "singular" else info
+
+    def broken_getrs(lu, piv, b, trans=0):
+        x, info = real_getrs(lu, piv, b, trans=trans)
+        return np.full_like(x, np.nan), info
+
+    monkeypatch.setattr(stepper_module, "dgetrf", broken_getrf)
+    monkeypatch.setattr(stepper_module, "dgetrs", broken_getrs)
+    match = "singular" if failure == "singular" else "not finite"
+    with pytest.raises(LinearSolverError, match=match):
+        stepper.step(z, 0.1)
+    assert len(factored) == (0 if failure == "reused nonfinite" else 1)
 
 
 def test_coupled_step_newton_exhaustion_raises():
