@@ -325,12 +325,9 @@ def equilibrium_state(eq: Equilibrium, geom: GridGeometry, time: float = 0.0) ->
 
 
 def _entropy_rows(u, v, geom: GridGeometry, params: ModelParams,
-                  xu=None, xv=None) -> np.ndarray:
-    """E per row; xu, xv are xlogy(u, u), xlogy(v, v) if the caller has
-    them."""
+                  xu, xv) -> np.ndarray:
+    """E per row; xu, xv are xlogy(u, u), xlogy(v, v)."""
     _require_nonnegative("entropy", u, v)
-    if xu is None:
-        xu, xv = xlogy(u, u), xlogy(v, v)
     mu_u = math.log(params.k_u) / params.alpha
     mu_v = math.log(params.k_v) / params.beta
     return (np.vecdot(geom.omega_weights, xu - u + mu_u * u)
@@ -340,7 +337,9 @@ def _entropy_rows(u, v, geom: GridGeometry, params: ModelParams,
 def entropy(state: State, geom: GridGeometry, params: ModelParams) -> float:
     """Free energy E = <u(log u - 1 + mu_u)> + <v(log v - 1 + mu_v)>, with
     mu_u = log(k_u)/alpha, mu_v = log(k_v)/beta and 0*log 0 = 0."""
-    return float(_entropy_rows(*_rows(state), geom, params)[0])
+    u, v = _rows(state)
+    return float(_entropy_rows(u, v, geom, params, xlogy(u, u),
+                               xlogy(v, v))[0])
 
 
 def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry,
@@ -406,13 +405,9 @@ def _bregman(x, x_inf):
 
 
 def _decomposition_rows(u, v, geom: GridGeometry, params: ModelParams,
-                        eq: Equilibrium, m=None, xu=None, xv=None):
+                        eq: Equilibrium, m, xu, xv):
     """(I1, I2) per row; m is the mass per row and xu, xv are
-    xlogy(u, u), xlogy(v, v) if the caller has them."""
-    if m is None:
-        m = _mass_rows(u, v, geom, params)
-    if xu is None:
-        xu, xv = xlogy(u, u), xlogy(v, v)
+    xlogy(u, u), xlogy(v, v)."""
     off = np.abs(m - eq.mass) > 1e-8 * max(abs(eq.mass), 1.0)
     if off.any():
         raise ValueError(f"state mass {float(m[np.argmax(off)])!r} does not "
@@ -435,7 +430,10 @@ def entropy_decomposition(state: State, geom: GridGeometry,
     relative entropy when the state's mass matches eq.mass, which is required
     to 1e-8 relative.
     """
-    i1, i2 = _decomposition_rows(*_rows(state), geom, params, eq)
+    u, v = _rows(state)
+    i1, i2 = _decomposition_rows(u, v, geom, params, eq,
+                                 _mass_rows(u, v, geom, params), xlogy(u, u),
+                                 xlogy(v, v))
     return float(i1[0]), float(i2[0])
 
 

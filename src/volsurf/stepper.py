@@ -30,11 +30,13 @@ IV.8).
 
 Each row of a coupled stepper's z-stack has its own ModelParams. K does not
 depend on alpha, beta, k_u or k_v, so rows that share delta_u and delta_v
-share the factorization, and their Newton iterations run in lockstep: one
-multi-column sparse solve serves every row, each row solves its own
-capacitance system, and each row rounds bitwise as it would alone. _march
-advances States as one z-stack on one coupled stepper, each with its own
-parameters; integrate is its one-State case and builds the States.
+share the factorization, and their Newton iterations run in lockstep on the
+whole stack: masks mark the rows still iterating instead of compacting the
+arrays, one multi-column sparse solve serves every row, each iterating row
+solves its own capacitance system, and each row rounds bitwise as it would
+alone. _march advances States as one z-stack on one coupled stepper, each
+with its own parameters; integrate is its one-State case and builds the
+States.
 """
 
 import dataclasses
@@ -118,12 +120,6 @@ def _step_grid(t0: float, span: float, dt: float):
     h = span / n_steps
     return h, t0 + h * np.arange(n_steps + 1)
 
-
-# sets of rows whose _RowFactors a coupled stepper keeps. A lockstep batch
-# meets few sets: marching the eight runs of a 16x8 strip and disk (alpha,
-# beta) sweep in two batches looks up 973 sets and gathers 9, and gathering
-# on every look-up makes the sweep about 7% slower
-_CACHED_ROW_SETS = 64
 
 # columns per chunk of the K^{-1}A solve at construction: enough for SuperLU's
 # multi-column solve to reach its per-column speed, few enough that the
@@ -270,10 +266,10 @@ def _norms(x):
 
 def _power(x, exponents, shift=0.0):
     """x ** (e - shift) on each row of x, e the row's exponent, from the
-    (exponent, rows) pairs of _RowFactors: one scalar-exponent power per
-    distinct exponent, taken on its rows only. So a row rounds as in the
-    one-row case; an array of exponents would not (x ** 2.0 is x * x only
-    for a scalar 2.0)."""
+    (exponent, rows) pairs a _CoupledStepper gathers for its stack: one
+    scalar-exponent power per distinct exponent, taken on its rows only. So
+    a row rounds as in the one-row case; an array of exponents would not
+    (x ** 2.0 is x * x only for a scalar 2.0)."""
     (e, _), *rest = exponents
     if not rest:
         return x ** (e - shift)
@@ -281,28 +277,6 @@ def _power(x, exponents, shift=0.0):
     for e, rows in exponents:
         out[rows] = x[rows] ** (e - shift)
     return out
-
-
-@dataclass(frozen=True)
-class _RowFactors:
-    """What the Newton formulas read of a set of stepper rows: per row, as
-    [row, 1] columns, the rate constants grouped as the one-row formulas
-    group them; the exponents alpha and beta as (exponent, rows) pairs for
-    _power, the rows indexing the set (a slice or an index array); the
-    reaction weights
-    and the bincount index of A x on the stacked rows; and ka, which indexes
-    ka_interface to give each row its own (a one-entry view when the rows
-    share one (alpha, beta))."""
-
-    k_u: np.ndarray
-    k_v: np.ndarray
-    k_u_alpha: np.ndarray
-    k_v_beta: np.ndarray
-    alpha: tuple
-    beta: tuple
-    weights: np.ndarray
-    index: np.ndarray
-    ka: object
 
 
 class _CoupledStepper:
@@ -340,15 +314,20 @@ class _CoupledStepper:
     of iterations. A row without factors (its first step, or one on which
     it has not iterated) factors.
 
-    The rows iterate in lockstep. A pass of the rows above their targets is
-    one multi-column sparse solve, one capacitance solve per row and Newton
-    iteration and one more multi-column solve to form the iterates; a row
-    keeps its values once its iteration ends, and leaves at the end of the
-    pass once it has converged. Each operation rounds a row as the one-row
-    stepper does (one gemv per row, one scalar-exponent power per distinct
-    exponent on the rows that use it, one BLAS dot per norm, one LAPACK
-    factor or solve per row, reused or not by the row's own history), so a
-    row of a batch is bitwise its single run.
+    The rows iterate in lockstep on the whole stack. What the Newton
+    formulas read of the rows (rate constants, exponent groups, reaction
+    weights, the bincount index of A x) is gathered once, at construction,
+    and two boolean masks track the rows instead of compacting the arrays:
+    `going` holds the rows above their targets, which take the iterate of a
+    pass, and `active` the rows still updating p. Every vector operation
+    and both multi-column sparse solves run on every row; only the
+    capacitance solves visit the active rows, and an inactive row's p takes
+    a +0.0 increment, which leaves it bitwise (p is never -0.0). Each
+    operation rounds a row as the one-row stepper does (one gemv per row,
+    one scalar-exponent power per distinct exponent on the rows that use
+    it, one BLAS dot per norm, one LAPACK factor or solve per row, reused
+    or not by the row's own history), so a row of a batch is bitwise its
+    single run.
 
     Both sparse solves are in increment form: their right-hand sides, -F(z)
     and A p, are the step's change, not the state. A solve's round-off
@@ -378,41 +357,19 @@ class _CoupledStepper:
         orders = list(dict.fromkeys((p.alpha, p.beta) for p in params))
         self.order = np.array([orders.index((p.alpha, p.beta)) for p in params])
         wg = geom.gamma_weights
-        self.weights = np.array([np.concatenate([alpha * wg, -beta * wg])
-                                 for alpha, beta in orders])
+        weights = np.array([np.concatenate([alpha * wg, -beta * wg])
+                            for alpha, beta in orders])
         # K^{-1}A is solved in column chunks and only its interface rows are
         # kept, so neither the storage nor the transient is n x n_Gamma
         rows = self.interface.reshape(2, n_g)
         self.ka_interface = np.empty((len(orders), 2 * n_g, n_g))
-        for ka, w in zip(self.ka_interface, self.weights):
+        for ka, w in zip(self.ka_interface, weights):
             w = w.reshape(2, n_g)
             for j in range(0, n_g, _CHUNK_COLUMNS):
                 cols = np.arange(j, min(j + _CHUNK_COLUMNS, n_g))
                 a = np.zeros((n_u + n_g, cols.size))
                 a[rows[:, cols], cols - j] = w[:, cols]
                 ka[:, cols] = self.lu.solve(a)[self.interface]
-        # per row, the LU factors and pivots of the last capacitance system
-        # it factored (None before its first), in its own n_Gamma x n_Gamma
-        # buffer
-        self._caps = np.empty((len(params), n_g, n_g))
-        self._cap_lu = [None] * len(params)
-        self._row_sets = {}
-        self._all_rows = np.arange(len(params))
-
-    def _factors(self, rows) -> _RowFactors:
-        """The _RowFactors of the stepper rows `rows`, gathered once per set
-        of rows: the sets that leave Newton together repeat from step to
-        step. At most _CACHED_ROW_SETS sets are kept."""
-        key = rows.tobytes()
-        f = self._row_sets.get(key)
-        if f is None:
-            if len(self._row_sets) == _CACHED_ROW_SETS:
-                self._row_sets.clear()
-            f = self._row_sets[key] = self._gather(rows)
-        return f
-
-    def _gather(self, rows) -> _RowFactors:
-        params = [self.params[i] for i in rows.tolist()]
 
         def column(values):
             return np.array(values, dtype=float)[:, None]
@@ -430,72 +387,79 @@ class _CoupledStepper:
                 pairs.append((e, at))
             return tuple(pairs)
 
-        order = self.order[rows]
-        n = self.mass.size
-        return _RowFactors(
-            k_u=column([p.k_u for p in params]),
-            k_v=column([p.k_v for p in params]),
-            k_u_alpha=column([p.k_u * p.alpha for p in params]),
-            k_v_beta=column([p.k_v * p.beta for p in params]),
-            alpha=exponents([p.alpha for p in params]),
-            beta=exponents([p.beta for p in params]),
-            weights=self.weights[order],
-            index=(self.interface + n * np.arange(len(rows))[:, None]).ravel(),
-            ka=(slice(order[0], order[0] + 1) if np.all(order == order[0])
-                else order))
+        # per row, as [row, 1] columns, the rate constants grouped as the
+        # one-row formulas group them; the exponents as (exponent, rows)
+        # pairs for _power; the reaction weights and the bincount index of
+        # A x on the stack; and ka, which indexes ka_interface to give each
+        # row its own (a one-entry slice when the rows share one order)
+        self.k_u = column([p.k_u for p in params])
+        self.k_v = column([p.k_v for p in params])
+        self.k_u_alpha = column([p.k_u * p.alpha for p in params])
+        self.k_v_beta = column([p.k_v * p.beta for p in params])
+        self.alpha = exponents([p.alpha for p in params])
+        self.beta = exponents([p.beta for p in params])
+        self.weights = weights[self.order]
+        self.index = (self.interface + self.mass.size
+                      * np.arange(len(params))[:, None]).ravel()
+        self.ka = slice(0, 1) if len(orders) == 1 else self.order
+        # per row, the LU factors and pivots of the last capacitance system
+        # it factored (None before its first), in its own n_Gamma x n_Gamma
+        # buffer
+        self._caps = np.empty((len(params), n_g, n_g))
+        self._cap_lu = [None] * len(params)
 
-    def _spread(self, x, f: _RowFactors):
+    def _spread(self, x):
         """A x on every row of x [row, n_Gamma]: the row's reaction weights
         times x at the trace cells and the patches."""
         n = self.mass.size
-        values = f.weights * np.concatenate([x, x], axis=1)
-        return np.bincount(f.index, values.ravel(), n * len(x)).reshape(-1, n)
+        values = self.weights * np.concatenate([x, x], axis=1)
+        return np.bincount(self.index, values.ravel(), n * len(x)).reshape(-1, n)
 
-    def _rates(self, zg, f: _RowFactors):
+    def _rates(self, zg):
         """Rate of each patch at the interface values zg [row, 2 n_Gamma],
         powers of max(., 0)."""
         n_g = self.geom.n_gamma
-        return (f.k_u * _power(np.maximum(zg[:, :n_g], 0.0), f.alpha)
-                - f.k_v * _power(np.maximum(zg[:, n_g:], 0.0), f.beta))
+        return (self.k_u * _power(np.maximum(zg[:, :n_g], 0.0), self.alpha)
+                - self.k_v * _power(np.maximum(zg[:, n_g:], 0.0), self.beta))
 
-    def _residual(self, z, z_old, f: _RowFactors):
+    def _residual(self, z, z_old):
         return (self.mass * (z - z_old) / self.cfg.dt - (self.diffusion @ z.T).T
-                + self._spread(self._rates(z.take(self.interface, axis=1),
-                                           f), f))
+                + self._spread(self._rates(z.take(self.interface, axis=1))))
 
-    def _partials(self, zg, f: _RowFactors):
+    def _partials(self, zg):
         """(dr/du, -dr/dv) per patch at the interface values zg
         [row, 2 n_Gamma], arguments floored at DERIVATIVE_FLOOR."""
         n_g = self.geom.n_gamma
         ut = np.maximum(zg[:, :n_g], DERIVATIVE_FLOOR)
         vc = np.maximum(zg[:, n_g:], DERIVATIVE_FLOOR)
-        return (f.k_u_alpha * _power(ut, f.alpha, 1.0),
-                f.k_v_beta * _power(vc, f.beta, 1.0))
+        return (self.k_u_alpha * _power(ut, self.alpha, 1.0),
+                self.k_v_beta * _power(vc, self.beta, 1.0))
 
-    def _interface_update(self, zg, g, dg, f: _RowFactors, rows, reuse):
-        """Newton increment of p at the interface values zg, row by row:
+    def _interface_update(self, zg, g, dg, rows, reuse):
+        """Newton increment of p at the interface values zg [row, 2 n_Gamma]
+        on the stepper rows `rows`, +0.0 on the others:
         (I + B^T ka)^{-1} (g + B^T dg), B the rate partials at zg and ka the
-        row's ka_interface; rows are the stepper rows of zg. g is the
-        iterate's residual coefficient and dg the part of its interface
-        values that p does not carry: on the first iteration of a pass g = 0
-        and dg is the first solve's change, after it dg = None.
+        row's ka_interface. g is the iterate's residual coefficient and dg
+        the part of its interface values that p does not carry: on the first
+        iteration of a pass g = 0 and dg is the first solve's change, after
+        it dg = None.
 
         Each row assembles its capacitance system I + B^T ka in its own
         buffer and factors it in place through LAPACK, keeping the factors.
         With reuse, a row that holds factors solves with them instead."""
         n_g = self.geom.n_gamma
-        dpu, dpv = self._partials(zg, f)
+        dpu, dpv = self._partials(zg)
         if dg is not None:
             g = g + dpu * dg[:, :n_g] - dpv * dg[:, n_g:]
-        dp = np.empty_like(g)
-        for i, row in enumerate(rows.tolist()):
+        dp = np.zeros_like(g)
+        for row in rows.tolist():
             if not (reuse and self._cap_lu[row]):
                 # the buffer holds the system in C order, so its .T is the
                 # Fortran-ordered transpose: LAPACK factors that in place
                 # and solves with trans=1
                 cap, ka = self._caps[row], self.ka_interface[self.order[row]]
-                np.multiply(dpu[i, :, None], ka[:n_g], out=cap)
-                cap -= dpv[i, :, None] * ka[n_g:]
+                np.multiply(dpu[row, :, None], ka[:n_g], out=cap)
+                cap -= dpv[row, :, None] * ka[n_g:]
                 cap.reshape(-1)[::n_g + 1] += 1.0
                 self._cap_lu[row] = None
                 lu, piv, info = dgetrf(cap.T, overwrite_a=1)
@@ -503,7 +467,7 @@ class _CoupledStepper:
                     raise LinearSolverError(
                         "Newton capacitance system is singular")
                 self._cap_lu[row] = lu, piv
-            dp[i] = dgetrs(*self._cap_lu[row], g[i], trans=1)[0]
+            dp[row] = dgetrs(*self._cap_lu[row], g[row], trans=1)[0]
         if not np.isfinite(dp).all():
             raise LinearSolverError("Newton capacitance solve is not finite")
         return dp
@@ -513,23 +477,23 @@ class _CoupledStepper:
         A StepFailure names, as .row, the first failing row found, and
         carries that row's message and residual history."""
         cfg = self.cfg
-        iface, n_g = self.interface, self.geom.n_gamma
+        iface = self.interface
 
         def failure(message, j):
             return StepFailure(message, residual_history=histories[j],
                                time=time, row=int(j))
 
-        def tracked(rows_norms):
-            """Append each (row, residual norm) to the row's history; raise
-            for the first row that diverged."""
-            for j, norm in rows_norms:
-                histories[j].append(norm)
-                if not norm <= 1e8 * scale[j]:  # true for NaN too
+        def tracked(rows, norms):
+            """Append the residual norm of each row of the mask `rows` to
+            the row's history; raise for the first row that diverged."""
+            norms = norms.tolist()
+            for j in np.flatnonzero(rows).tolist():
+                histories[j].append(norms[j])
+                if not norms[j] <= 1e8 * scale[j]:  # true for NaN too
                     raise failure(f"Newton diverged at t={time:g} (reduce dt)",
                                   j)
 
-        f = self._factors(self._all_rows)
-        res = self._residual(z_old, z_old, f)
+        res = self._residual(z_old, z_old)
         norms = _norms(res)
         histories = [[norm] for norm in norms.tolist()]
         finite = np.isfinite(norms)
@@ -540,75 +504,54 @@ class _CoupledStepper:
         target = cfg.newton_tol * scale
         its = np.zeros(len(z_old), dtype=int)  # Newton iterations per row
         z = z_old.copy()
-        going = np.flatnonzero(norms > target)
+        going = norms > target
         first_pass = True
-        while going.size:
-            # one pass of every row above its target: rebase at z, Newton on
-            # p, then form the iterates
-            if going.size < len(f.k_u):
-                f = self._factors(going)
-            z_pass = z[going]
-            y = self.lu.solve(-res[going].T).T
-            base = z_pass + y
-            p_pass = np.zeros((going.size, n_g))
-            # Newton on p: the arrays from here on hold the rows of the pass
-            # still updating p, its rows `act`, the stack's rows `which`
-            act, which, fa = np.arange(going.size), going, f
-            ka = self.ka_interface[fa.ka]
-            zg = z_pass.take(iface, axis=1)
-            r0 = self._rates(zg, fa)
-            base_g, tgt = base.take(iface, axis=1), target[going]
-            p, g, dg = p_pass, np.zeros_like(p_pass), y.take(iface, axis=1)
-            # iteration k of the pass is a row's its[row] + k + 1st; the
-            # first row spent is the one with the most iterations before it
-            before = its[going]
-            spent_at = cfg.newton_max_iter - before.max()
+        while going.any():
+            # one pass of the whole stack: rebase at z, Newton on p, then
+            # form the iterates, which the going rows take
+            y = self.lu.solve(-res.T).T
+            base = z + y
+            ka = self.ka_interface[self.ka]
+            zg = z.take(iface, axis=1)
+            r0 = self._rates(zg)
+            base_g = base.take(iface, axis=1)
+            p, g, dg = np.zeros_like(r0), np.zeros_like(r0), y.take(iface, axis=1)
+            active = going.copy()
             for k in itertools.count():
-                if k >= spent_at:
+                # only an active row can pass the cap: the first of those
+                # with the most iterations fails
+                its += active
+                if its.max() > cfg.newton_max_iter:
                     raise failure(
                         f"Newton did not reach tolerance in "
                         f"{cfg.newton_max_iter} iterations at t={time:g} "
-                        f"(reduce dt)", which[np.argmax(before)])
+                        f"(reduce dt)", np.argmax(its))
                 # a row's first iteration of the step solves with the
                 # factors of its last system, taken one Newton increment
                 # away; every later iteration factors afresh
-                p_new = p + self._interface_update(zg, g, dg, fa, which,
-                                                   first_pass and k == 0)
+                p_new = p + self._interface_update(
+                    zg, g, dg, np.flatnonzero(active), first_pass and k == 0)
                 dg = None
                 # a row is done once its update is below float resolution
                 # (its p stays) or its residual meets the target
                 moved = (p_new != p).any(axis=1)
-                p = p_pass[act] = p_new
+                p = p_new
                 zg = base_g - np.matmul(ka, p[..., None])[..., 0]
-                g = self._rates(zg, fa) - r0 - p
-                norms = _norms(self._spread(g, fa))
-                tracked((j, norm) for j, norm, m in zip(
-                    which.tolist(), norms.tolist(), moved.tolist()) if m)
-                keep = moved & (norms > tgt)
-                if not keep.all():
-                    its[which[~keep]] = before[~keep] + k + 1
-                    if not keep.any():
-                        break
-                    act, which, p, zg, g, r0, base_g, tgt, before = (
-                        x[keep] for x in (act, which, p, zg, g, r0, base_g,
-                                          tgt, before))
-                    spent_at = cfg.newton_max_iter - before.max()
-                    fa = self._factors(which)
-                    ka = self.ka_interface[fa.ka]
-            first_pass = False
-            z_new = base - self.lu.solve(self._spread(p_pass, f).T).T
-            # an iterate equal to z is below float resolution: the row is done
-            moved = (z_new != z_pass).any(axis=1)
-            if not moved.all():
-                going, z_new = going[moved], z_new[moved]
-                if not going.size:
+                g = self._rates(zg) - r0 - p
+                norms = _norms(self._spread(g))
+                tracked(moved, norms)
+                active = moved & (norms > target)
+                if not active.any():
                     break
-                f = self._factors(going)
-            z[going] = z_new
-            res[going] = r = self._residual(z_new, z_old[going], f)
-            norms = _norms(r)
-            tracked(zip(going.tolist(), norms.tolist()))
-            going = going[norms > target[going]]
+            first_pass = False
+            z_new = base - self.lu.solve(self._spread(p).T).T
+            # an iterate equal to z is below float resolution: the row is done
+            going &= (z_new != z).any(axis=1)
+            np.copyto(z, z_new, where=going[:, None])
+            res = self._residual(z, z_old)
+            norms = _norms(res)
+            tracked(going, norms)
+            going &= norms > target
 
         mag = np.maximum(1.0, np.max(np.abs(z), axis=1))
         negative = (z < -1e-12 * mag[:, None]).any(axis=1)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from volsurf.cli import build_initial_state
-from volsurf.diagnostics import (audit_ckp, audit_degenerate_coupling,
+from volsurf.diagnostics import (_record_batch, audit_ckp,
+                                 audit_degenerate_coupling,
                                  check_entropy_dissipation_identity,
-                                 dense_oracle, fit_rate, record)
+                                 dense_oracle, fit_rate)
 from volsurf.grid import build_interval, build_periodic_strip
 from volsurf.model import ModelParams, State, equilibrium_from_measures
 from volsurf.monotone import check_sandwich, comparison_pairs, run_monotone
@@ -78,44 +79,54 @@ def geometries():
             "strip_fine": build_periodic_strip(32, 16, 1.0, 1.0)}
 
 
+def record_groups(cases, geometries, dt, t_end, grid=None):
+    """{case: (series, wall seconds of its batch)} for cases, recording
+    each (geometry, delta_v) group in one lockstep _record_batch, whose
+    series are bitwise those of record. A case runs on geometries[grid] if
+    grid is given, else on its own geometry."""
+    groups = {}
+    for case in cases:
+        groups.setdefault((case[0], case[3]), []).append(case)
+    out = {}
+    for group in groups.values():
+        g = geometries[grid or group[0][0]]
+        t0 = time.perf_counter()
+        batch = _record_batch([case_initial(case, g) for case in group], g,
+                              [case_params(case) for case in group],
+                              StepConfig(dt=dt), t_end)
+        elapsed = time.perf_counter() - t0
+        out.update((case, (series, elapsed))
+                   for case, series in zip(group, batch))
+    return out
+
+
 @pytest.fixture(scope="session")
 def short_runs(geometries):
-    """t_end = 2 at dt = 1e-2: (series, wall seconds) per case."""
-    out = {}
-    for case in CASES:
-        g = geometries[case[0]]
-        t0 = time.perf_counter()
-        series = record(case_initial(case, g), g, case_params(case),
-                        StepConfig(dt=1e-2), 2.0)
-        out[case] = (series, time.perf_counter() - t0)
-    return out
+    """t_end = 2 at dt = 1e-2: (series, wall seconds of its batch) per case."""
+    return record_groups(CASES, geometries, 1e-2, 2.0)
 
 
 @pytest.fixture(scope="session")
 def half_dt_runs(geometries):
     """Same matrix at dt = 5e-3, for the dissipation-identity halving."""
-    return {case: record(case_initial(case, geometries[case[0]]),
-                         geometries[case[0]], case_params(case),
-                         StepConfig(dt=5e-3), 2.0)
-            for case in CASES}
+    return {case: series for case, (series, _)
+            in record_groups(CASES, geometries, 5e-3, 2.0).items()}
 
 
 @pytest.fixture(scope="session")
 def long_runs(geometries):
     """t_end = 10 at dt = 1e-2, used by the equilibration criteria."""
-    return {case: record(case_initial(case, geometries[case[0]]),
-                         geometries[case[0]], case_params(case),
-                         StepConfig(dt=1e-2), 10.0)
-            for case in CASES}
+    return {case: series for case, (series, _)
+            in record_groups(CASES, geometries, 1e-2, 10.0).items()}
 
 
 @pytest.fixture(scope="session")
 def refined_runs(geometries):
     """Strip cases of the long matrix on the 2x refined grid."""
-    g = geometries["strip_fine"]
-    return {case: record(case_initial(case, g), g, case_params(case),
-                         StepConfig(dt=1e-2), 10.0)
-            for case in CASES if case[0] == "strip"}
+    strips = [case for case in CASES if case[0] == "strip"]
+    return {case: series for case, (series, _)
+            in record_groups(strips, geometries, 1e-2, 10.0,
+                             "strip_fine").items()}
 
 
 def test_01_conservation(short_runs):
@@ -130,7 +141,7 @@ def test_01_conservation(short_runs):
         if drift > 1e-8 or elapsed >= 10.0:
             bad.append(label(case))
     report(1, "mass conservation", not bad,
-           f"worst relative drift {worst_drift:.2e}, slowest case {slowest:.2f}s")
+           f"worst relative drift {worst_drift:.2e}, slowest batch {slowest:.2f}s")
 
 
 def test_long_run_mass_drift_is_round_off(long_runs):
