@@ -447,9 +447,9 @@ def _set_dotted(cfg: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
-# rows of one lockstep batch of sweep runs. The dense part of a batch (one
-# capacitance system per row, one ka_interface per distinct (alpha, beta))
-# grows with its rows, and the gain flattens: 16 (alpha, beta) runs of 250
+# rows of one lockstep batch of sweep runs. The dense part of a batch that
+# grows with its rows is one capacitance system per row (the interface rows
+# of K^{-1}A are shared), and the gain flattens: 16 (alpha, beta) runs of 250
 # steps took 1.36, 0.69, 0.54 and 0.44 s in batches of 1, 4, 8 and 16 on a
 # 16x8 strip, 1.36, 0.62, 0.51 and 0.53 s on an 8x16 disk
 _SWEEP_BATCH_ROWS = 8

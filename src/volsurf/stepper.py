@@ -19,14 +19,14 @@ rank-n_Gamma reaction part of the Jacobian goes through a dense capacitance
 solve (Woodbury; Hager, SIAM Review 1989). The iterations run on the
 interface values only (the trace cells and the surface patches), reading the
 2 n_Gamma x n_Gamma interface rows of K^{-1}A, so a step that iterates does
-two sparse solves whatever its iteration count and the stepper stores
-O(n + n_Gamma^2) numbers per distinct (alpha, beta) plus one n_Gamma x
-n_Gamma LU per row; see _CoupledStepper. The sparse factorizations go
-through linsolve.factor; the dense capacitance systems are factored and
-solved per row through LAPACK (dgetrf, dgetrs), and the first Newton
-iteration of a row's step solves with the last LU the row factored, as
-stiff solvers reuse their Jacobians (Hairer and Wanner, Solving ODEs II,
-IV.8).
+two sparse solves whatever its iteration count. K is block-diagonal, so one
+array of those rows serves every (alpha, beta), and the stepper stores
+O(n + n_Gamma^2) numbers plus one n_Gamma x n_Gamma LU per row; see
+_CoupledStepper. The sparse factorizations go through linsolve.factor; the
+dense capacitance systems are factored and solved per row through LAPACK
+(dgetrf, dgetrs), and the first Newton iteration of a row's step solves with
+the last LU the row factored, as stiff solvers reuse their Jacobians (Hairer
+and Wanner, Solving ODEs II, IV.8).
 
 Each row of a coupled stepper's z-stack has its own ModelParams. K does not
 depend on alpha, beta, k_u or k_v, so rows that share delta_u and delta_v
@@ -295,19 +295,22 @@ class _CoupledStepper:
     pass starts from an iterate z with one sparse solve,
     base = z + K^{-1}(-F(z)), and r0 = r(z). Every Newton iterate after z is
     base - K^{-1}A p for some p in R^{n_Gamma}, with interface values
-    base_g - ka_interface p and residual exactly A (r - r0 - p), r the rates
-    there; ka_interface holds the rows of K^{-1}A at the trace cells and the
-    patches, once per distinct (alpha, beta) of the rows, the only part of a
-    row that A depends on. The Woodbury form of J^{-1} (Hager, SIAM Review
-    1989) then updates p by one dense n_Gamma x n_Gamma solve and no sparse
-    one. Once the interface residual meets the tolerance, a second sparse
-    solve forms z = base - K^{-1}(A p); it must meet the full residual test,
-    else the next pass starts from it.
+    base_g - ka p and residual exactly A (r - r0 - p), r the rates there;
+    ka = [alpha X; -beta Y] holds the rows of K^{-1}A at the trace cells
+    and the patches. K is block-diagonal, bulk and surface, so [X; Y] =
+    ka_interface, the interface rows of K^{-1} on the columns
+    w_Gamma,j (e_tc(j) + e_patch(j)), serves every (alpha, beta): a row
+    reads it through its scale, and the stepper stores O(n + n_Gamma^2)
+    numbers plus one n_Gamma x n_Gamma LU per row. The Woodbury form of
+    J^{-1} (Hager, SIAM Review 1989) then updates p by one dense
+    n_Gamma x n_Gamma solve and no sparse one. Once the interface residual
+    meets the tolerance, a second sparse solve forms z = base - K^{-1}(A p);
+    it must meet the full residual test, else the next pass starts from it.
 
-    Each row factors its capacitance system I + B^T ka_interface in place
-    in its own buffer (LAPACK dgetrf) and keeps the LU and pivots of the
-    last one. The first iteration of the row's next step solves with them
-    (dgetrs) instead of factoring: they were taken at the previous step's
+    Each row factors its capacitance system I + B^T ka in place in its own
+    buffer (LAPACK dgetrf) and keeps the LU and pivots of the last one. The
+    first iteration of the row's next step solves with them (dgetrs)
+    instead of factoring: they were taken at the previous step's
     second-to-last iterate, one Newton increment away, so that update is
     nearly exact Newton and the iteration count does not grow. Every later
     iteration factors afresh; a chord iteration over a whole pass ran out
@@ -315,7 +318,7 @@ class _CoupledStepper:
     it has not iterated) factors.
 
     The rows iterate in lockstep on the whole stack. What the Newton
-    formulas read of the rows (rate constants, exponent groups, reaction
+    formulas read of the rows (rate constants, exponents, scales, reaction
     weights, the bincount index of A x) is gathered once, at construction,
     and two boolean masks track the rows instead of compacting the arrays:
     `going` holds the rows above their targets, which take the iterate of a
@@ -354,22 +357,16 @@ class _CoupledStepper:
         # A's two entries per column: the trace cell of each patch, then the
         # patch itself
         self.interface = np.concatenate([geom.trace_cells, n_u + np.arange(n_g)])
-        orders = list(dict.fromkeys((p.alpha, p.beta) for p in params))
-        self.order = np.array([orders.index((p.alpha, p.beta)) for p in params])
+        # [X; Y] in column chunks, keeping only the interface rows, so
+        # neither the storage nor the transient is n x n_Gamma
         wg = geom.gamma_weights
-        weights = np.array([np.concatenate([alpha * wg, -beta * wg])
-                            for alpha, beta in orders])
-        # K^{-1}A is solved in column chunks and only its interface rows are
-        # kept, so neither the storage nor the transient is n x n_Gamma
         rows = self.interface.reshape(2, n_g)
-        self.ka_interface = np.empty((len(orders), 2 * n_g, n_g))
-        for ka, w in zip(self.ka_interface, weights):
-            w = w.reshape(2, n_g)
-            for j in range(0, n_g, _CHUNK_COLUMNS):
-                cols = np.arange(j, min(j + _CHUNK_COLUMNS, n_g))
-                a = np.zeros((n_u + n_g, cols.size))
-                a[rows[:, cols], cols - j] = w[:, cols]
-                ka[:, cols] = self.lu.solve(a)[self.interface]
+        self.ka_interface = np.empty((2 * n_g, n_g))
+        for j in range(0, n_g, _CHUNK_COLUMNS):
+            cols = np.arange(j, min(j + _CHUNK_COLUMNS, n_g))
+            a = np.zeros((n_u + n_g, cols.size))
+            a[rows[:, cols], cols - j] = wg[cols]
+            self.ka_interface[:, cols] = self.lu.solve(a)[self.interface]
 
         def column(values):
             return np.array(values, dtype=float)[:, None]
@@ -389,19 +386,19 @@ class _CoupledStepper:
 
         # per row, as [row, 1] columns, the rate constants grouped as the
         # one-row formulas group them; the exponents as (exponent, rows)
-        # pairs for _power; the reaction weights and the bincount index of
-        # A x on the stack; and ka, which indexes ka_interface to give each
-        # row its own (a one-entry slice when the rows share one order)
+        # pairs for _power; the scale of ka_interface and with it the
+        # reaction weights; and the bincount index of A x on the stack
         self.k_u = column([p.k_u for p in params])
         self.k_v = column([p.k_v for p in params])
         self.k_u_alpha = column([p.k_u * p.alpha for p in params])
         self.k_v_beta = column([p.k_v * p.beta for p in params])
         self.alpha = exponents([p.alpha for p in params])
         self.beta = exponents([p.beta for p in params])
-        self.weights = weights[self.order]
+        self.scale = np.array([np.repeat([p.alpha, -p.beta], n_g)
+                               for p in params])
+        self.weights = self.scale * np.tile(wg, 2)
         self.index = (self.interface + self.mass.size
                       * np.arange(len(params))[:, None]).ravel()
-        self.ka = slice(0, 1) if len(orders) == 1 else self.order
         # per row, the LU factors and pivots of the last capacitance system
         # it factored (None before its first), in its own n_Gamma x n_Gamma
         # buffer
@@ -439,10 +436,10 @@ class _CoupledStepper:
         """Newton increment of p at the interface values zg [row, 2 n_Gamma]
         on the stepper rows `rows`, +0.0 on the others:
         (I + B^T ka)^{-1} (g + B^T dg), B the rate partials at zg and ka the
-        row's ka_interface. g is the iterate's residual coefficient and dg
-        the part of its interface values that p does not carry: on the first
-        iteration of a pass g = 0 and dg is the first solve's change, after
-        it dg = None.
+        row's scale times ka_interface. g is the iterate's residual
+        coefficient and dg the part of its interface values that p does not
+        carry: on the first iteration of a pass g = 0 and dg is the first
+        solve's change, after it dg = None.
 
         Each row assembles its capacitance system I + B^T ka in its own
         buffer and factors it in place through LAPACK, keeping the factors.
@@ -451,15 +448,17 @@ class _CoupledStepper:
         dpu, dpv = self._partials(zg)
         if dg is not None:
             g = g + dpu * dg[:, :n_g] - dpv * dg[:, n_g:]
+        su = self.scale[:, :n_g] * dpu  # B^T ka = su X - sv Y
+        sv = self.scale[:, n_g:] * dpv
         dp = np.zeros_like(g)
         for row in rows.tolist():
             if not (reuse and self._cap_lu[row]):
                 # the buffer holds the system in C order, so its .T is the
                 # Fortran-ordered transpose: LAPACK factors that in place
                 # and solves with trans=1
-                cap, ka = self._caps[row], self.ka_interface[self.order[row]]
-                np.multiply(dpu[row, :, None], ka[:n_g], out=cap)
-                cap -= dpv[row, :, None] * ka[n_g:]
+                cap = self._caps[row]
+                np.multiply(su[row, :, None], self.ka_interface[:n_g], out=cap)
+                cap -= sv[row, :, None] * self.ka_interface[n_g:]
                 cap.reshape(-1)[::n_g + 1] += 1.0
                 self._cap_lu[row] = None
                 lu, piv, info = dgetrf(cap.T, overwrite_a=1)
@@ -511,7 +510,6 @@ class _CoupledStepper:
             # form the iterates, which the going rows take
             y = self.lu.solve(-res.T).T
             base = z + y
-            ka = self.ka_interface[self.ka]
             zg = z.take(iface, axis=1)
             r0 = self._rates(zg)
             base_g = base.take(iface, axis=1)
@@ -536,7 +534,8 @@ class _CoupledStepper:
                 # (its p stays) or its residual meets the target
                 moved = (p_new != p).any(axis=1)
                 p = p_new
-                zg = base_g - np.matmul(ka, p[..., None])[..., 0]
+                zg = base_g - self.scale * np.matmul(
+                    self.ka_interface, p[..., None])[..., 0]
                 g = self._rates(zg) - r0 - p
                 norms = _norms(self._spread(g))
                 tracked(moved, norms)

@@ -247,17 +247,19 @@ def one_row(geom, params, cfg):
     return _CoupledStepper(geom, [params], cfg)
 
 
-def assembled_jacobian(stepper, z):
-    """K + A B^T of a one-row coupled stepper as one sparse matrix, built
-    from the formulas rather than through the capacitance solve:
-    K = diag(M/dt) - D, A the fixed reaction weights, B the rate partials
+def assembled_jacobian(stepper, z, row=0):
+    """K + A B^T of row `row` of a coupled stepper as one sparse matrix,
+    built from the formulas rather than through the capacitance solve:
+    K = diag(M/dt) - D, A the row's reaction weights, B its rate partials
     at z."""
-    g, p = stepper.geom, stepper.params[0]
+    g, p = stepper.geom, stepper.params[row]
     n_u, n_g = g.n_omega, g.n_gamma
     rows = np.concatenate([g.trace_cells, n_u + np.arange(n_g)])
     cols = np.tile(np.arange(n_g), 2)
     wg = g.gamma_weights
-    dpu, dpv = (x[0] for x in stepper._partials(z[None, stepper.interface]))
+    # the partials of every row at z, so that each row takes its own orders
+    zg = np.tile(z[stepper.interface], (len(stepper.params), 1))
+    dpu, dpv = (x[row] for x in stepper._partials(zg))
     a = sp.csc_matrix((np.concatenate([p.alpha * wg, -p.beta * wg]),
                        (rows, cols)), shape=(n_u + n_g, n_g))
     b = sp.csc_matrix((np.concatenate([dpu, -dpv]), (rows, cols)),
@@ -295,48 +297,60 @@ def test_newton_jacobian_matches_finite_differences():
 
 @pytest.mark.parametrize("geom, params", [
     (build_periodic_strip(16, 8, 2.0, 1.0),
-     ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
-                 k_u=1.3, k_v=0.8)),
+     [ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
+                  k_u=1.3, k_v=0.8)]),
     (build_polar_disk(8, 16, 1.0),
-     ModelParams(alpha=3.0, beta=1.0, delta_u=1.0, delta_v=1.0, k_u=5.0)),
+     [ModelParams(alpha=3.0, beta=1.0, delta_u=1.0, delta_v=1.0, k_u=5.0)]),
     (build_interval(12, 1.0),
-     ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0, k_v=0.2)),
-], ids=["strip", "disk", "interval"])
+     [ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.0, k_v=0.2)]),
+    # rows of different orders read the one interface array, each with its
+    # own scale
+    (build_periodic_strip(16, 8, 2.0, 1.0),
+     [ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
+                  k_u=1.3, k_v=0.8),
+      ModelParams(alpha=1.5, beta=1.0, delta_u=0.7, delta_v=0.4, k_v=0.5)]),
+], ids=["strip", "disk", "interval", "strip two orders"])
 def test_capacitance_update_matches_sparse_solve(geom, params):
     # two Newton iterations of one pass, each against a sparse solve of the
-    # assembled Jacobian: the first from an arbitrary z, the second from the
-    # iterate base - K^{-1}A p it produced, whose residual is A g. A third
-    # update with reuse solves with the factors of the second's system.
-    stepper = one_row(geom, params, StepConfig(dt=0.1))
+    # row's assembled Jacobian: the first from an arbitrary z, the second
+    # from the iterate base - K^{-1}A p it produced, whose residual is A g.
+    # A third update with reuse solves with the factors of the second's
+    # system.
+    stepper = _CoupledStepper(geom, params, StepConfig(dt=0.1))
     rows = stepper.interface
-    ka = stepper.ka_interface
-    row = np.zeros(1, dtype=int)
+    every = np.arange(len(params))
     rng = np.random.default_rng(7)
     n = geom.n_omega + geom.n_gamma
-    z = rng.uniform(0.2, 2.0, (1, n))
-    z_old = rng.uniform(0.2, 2.0, (1, n))
+    z = rng.uniform(0.2, 2.0, (len(params), n))
+    z_old = rng.uniform(0.2, 2.0, (len(params), n))
 
-    res = stepper._residual(z, z_old)[0]
-    y = stepper.lu.solve(-res)
-    p = stepper._interface_update(z[:, rows], np.zeros((1, geom.n_gamma)),
-                                  y[None, rows], row, True)[0]
-    z1 = z[0] + y - stepper.lu.solve(stepper._spread(p[None])[0])
-    expected = spla.spsolve(assembled_jacobian(stepper, z[0]), -res)
-    assert (np.linalg.norm(z1 - z[0] - expected)
-            <= 1e-12 * np.linalg.norm(expected))
+    res = stepper._residual(z, z_old)
+    y = stepper.lu.solve(-res.T).T
+    p = stepper._interface_update(z[:, rows],
+                                  np.zeros((len(params), geom.n_gamma)),
+                                  y[:, rows], every, True)
+    z1 = z + y - stepper.lu.solve(stepper._spread(p).T).T
+    for j in every:
+        expected = spla.spsolve(assembled_jacobian(stepper, z[j], j), -res[j])
+        assert (np.linalg.norm(z1[j] - z[j] - expected)
+                <= 1e-12 * np.linalg.norm(expected))
 
-    zg1 = z[0, rows] + y[rows] - ka[0] @ p
-    assert np.allclose(zg1, z1[rows], rtol=1e-13, atol=0.0)
-    g = stepper._rates(zg1[None]) - stepper._rates(z[:, rows]) - p
-    res1 = stepper._residual(z1[None], z_old)[0]
-    assert np.allclose(res1, stepper._spread(g)[0], rtol=0.0,
-                       atol=1e-12 * np.linalg.norm(res1))
-    dp = stepper._interface_update(zg1[None], g, None, row, False)
-    expected = spla.spsolve(assembled_jacobian(stepper, z1), -res1)
-    got = -stepper.lu.solve(stepper._spread(dp)[0])
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    zg1 = z[:, rows] + y[:, rows] - stepper.scale * (p @ stepper.ka_interface.T)
+    assert np.allclose(zg1, z1[:, rows], rtol=1e-13, atol=0.0)
+    g = stepper._rates(zg1) - stepper._rates(z[:, rows]) - p
+    res1 = stepper._residual(z1, z_old)
+    for j in every:
+        assert np.allclose(res1[j], stepper._spread(g)[j], rtol=0.0,
+                           atol=1e-12 * np.linalg.norm(res1[j]))
+    dp = stepper._interface_update(zg1, g, None, every, False)
+    got = -stepper.lu.solve(stepper._spread(dp).T).T
+    for j in every:
+        expected = spla.spsolve(assembled_jacobian(stepper, z1[j], j),
+                                -res1[j])
+        assert (np.linalg.norm(got[j] - expected)
+                <= 1e-12 * np.linalg.norm(expected))
     # the partials at z instead of zg1 would change a factored system
-    reused = stepper._interface_update(z[:, rows], g, None, row, True)
+    reused = stepper._interface_update(z[:, rows], g, None, every, True)
     assert np.array_equal(reused, dp)
 
 
@@ -559,7 +573,7 @@ def test_chunked_interface_rows_match_one_solve(monkeypatch):
     whole = one_row(g, p, StepConfig(dt=0.1)).ka_interface
     monkeypatch.setattr(stepper_module, "_CHUNK_COLUMNS", 5)
     chunked = one_row(g, p, StepConfig(dt=0.1)).ka_interface
-    assert chunked.shape == (1, 2 * g.n_gamma, g.n_gamma)
+    assert chunked.shape == (2 * g.n_gamma, g.n_gamma)
     assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
@@ -574,6 +588,29 @@ def test_stepper_holds_no_dense_n_by_n_gamma_array():
              if isinstance(value, np.ndarray)}
     assert "ka_interface" in sizes
     assert max(sizes.values()) < limit, sizes
+
+
+def test_interface_rows_are_stored_once_whatever_the_orders():
+    # K is block-diagonal, so one interface array of K^{-1}A serves rows of
+    # every (alpha, beta): eight distinct orders cost no more storage than
+    # one, and the array is bitwise a one-row stepper's
+    g = build_polar_disk(8, 16, 1.0)
+    orders = [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.5, 3.0), (3.0, 1.5),
+              (2.0, 2.0), (1.5, 1.0), (3.0, 3.0)]
+    params = [ModelParams(alpha=alpha, beta=beta, delta_u=1.0, delta_v=0.5)
+              for alpha, beta in orders]
+    cfg = StepConfig(dt=0.05)
+    stepper = _CoupledStepper(g, params, cfg)
+    rng = np.random.default_rng(5)
+    stepper.step(rng.uniform(0.2, 2.0, (len(params),
+                                         g.n_omega + g.n_gamma)), 0.0)
+    limit = (g.n_omega + g.n_gamma) * g.n_gamma
+    sizes = {name: value.size for name, value in vars(stepper).items()
+             if isinstance(value, np.ndarray)}
+    assert {"ka_interface", "_caps"} <= sizes.keys()
+    assert max(sizes.values()) < limit, sizes
+    alone = one_row(g, params[3], cfg).ka_interface
+    assert np.array_equal(stepper.ka_interface, alone)
 
 
 @pytest.mark.parametrize("failure", ["nonfinite", "singular",
