@@ -453,29 +453,27 @@ def _set_dotted(cfg: dict, dotted: str, value):
 # steps took 1.36, 0.69, 0.54 and 0.44 s in batches of 1, 4, 8 and 16 on a
 # 16x8 strip, 1.36, 0.62, 0.51 and 0.53 s on an 8x16 disk
 _SWEEP_BATCH_ROWS = 8
-# grid keys whose values the runs of one batch may differ in: none of them
-# enters K = diag(M/dt) - D, so one factorization serves the batch
-_BATCH_FREE_KEYS = ("params.alpha", "params.beta", "params.k_u", "params.k_v",
-                    "initial")
 
 
-def _batch_key(keys: list, combo: tuple) -> tuple:
-    """The combo's values at the grid keys that the runs of a batch share:
-    every key but _BATCH_FREE_KEYS and the keys inside "initial"."""
-    return tuple(json.dumps(value, sort_keys=True)
-                 for key, value in zip(keys, combo)
-                 if key not in _BATCH_FREE_KEYS
-                 and not key.startswith("initial."))
+def _batch_key(cfg: dict) -> str:
+    """What the runs of a lockstep batch share, as JSON: the geometry, the
+    step, the horizon, and delta_u and delta_v, which with dt fix
+    K = diag(M/dt) - D. Orders, rate constants and initial data may differ."""
+    params = cfg.get("params")
+    if isinstance(params, dict):  # anything else fails in _setup
+        params = [params.get("delta_u"), params.get("delta_v")]
+    return json.dumps([cfg.get("geometry"), cfg.get("step"),
+                       cfg.get("t_end"), params], sort_keys=True)
 
 
-def _sweep_batches(keys: list, combos: list, jobs: int) -> list:
-    """The combos' indices in lockstep batches, ordered by their first
-    index: the combos with one _batch_key, in grid order, cut into batches
+def _sweep_batches(configs: list, jobs: int) -> list:
+    """The configs' indices in lockstep batches, ordered by their first
+    index: the configs with one _batch_key, in grid order, cut into batches
     of at most _SWEEP_BATCH_ROWS; while there are fewer batches than jobs,
     the largest is halved."""
     groups = {}
-    for i, combo in enumerate(combos):
-        groups.setdefault(_batch_key(keys, combo), []).append(i)
+    for i, cfg in enumerate(configs):
+        groups.setdefault(_batch_key(cfg), []).append(i)
     batches = [group[j:j + _SWEEP_BATCH_ROWS] for group in groups.values()
                for j in range(0, len(group), _SWEEP_BATCH_ROWS)]
     while len(batches) < jobs:
@@ -499,34 +497,24 @@ def _sweep_result(series) -> dict:
             "mass_drift": drift}
 
 
-def _sweep_setup(template: dict, keys: list, combo: tuple):
-    """_setup of the template with the combo's values set at the dotted
-    keys."""
-    cfg = copy.deepcopy(template)
-    for key, value in zip(keys, combo):
-        _set_dotted(cfg, key, value)
-    return _setup(cfg)
-
-
-def _sweep_batch(template: dict, keys: list, combos: list) -> list:
-    """One batch of a sweep: per combo, its run recorded and reduced by
-    _sweep_result. The runs march in lockstep (_record_batch), so the combos
-    must share their _batch_key. If any run fails, the runs go again one by
+def _sweep_batch(configs: list) -> list:
+    """One batch of a sweep: per config, its run recorded and reduced by
+    _sweep_result. The runs march in lockstep (_record_batch), as their
+    configs share one _batch_key. If any run fails, the runs go again one by
     one, and the list ends with the exception of the first that fails.
     Module level so that a process pool can pickle it."""
     try:
-        runs = [_sweep_setup(template, keys, combo) for combo in combos]
-        # the runs share the geometry, the step and the horizon
+        runs = [_setup(cfg) for cfg in configs]
         _, geom, _, _, step_cfg, t_end = runs[0]
         series = _record_batch([run[3] for run in runs], geom,
                                [run[2] for run in runs], step_cfg, t_end)
         return [_sweep_result(s) for s in series]
     except Exception as exc:
-        if len(combos) == 1:
+        if len(configs) == 1:
             return [exc]
     outcomes = []
-    for combo in combos:
-        outcomes += _sweep_batch(template, keys, [combo])
+    for cfg in configs:
+        outcomes += _sweep_batch([cfg])
         if isinstance(outcomes[-1], Exception):
             break
     return outcomes
@@ -550,9 +538,8 @@ def _sweep_results(batches: list, n_runs: int, outcomes) -> list:
     return results
 
 
-def _sweep_pool(workers: int, template: dict, keys: list, batches: list,
-                combos: list) -> list:
-    """_sweep_results of the batches of combos, run on forked worker
+def _sweep_pool(workers: int, batches: list, configs: list) -> list:
+    """_sweep_results of the batches of configs, run on forked worker
     processes (the default start method where fork is missing). A fork
     inherits the imported modules; a fresh interpreter would spend about
     half a second importing numpy and scipy again. A raised failure
@@ -565,9 +552,8 @@ def _sweep_pool(workers: int, template: dict, keys: list, batches: list,
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork" if fork else None))
     try:
-        return _sweep_results(batches, len(combos), pool.map(
-            _sweep_batch, itertools.repeat(template), itertools.repeat(keys),
-            [[combos[i] for i in batch] for batch in batches]))
+        return _sweep_results(batches, len(configs), pool.map(
+            _sweep_batch, [[configs[i] for i in batch] for batch in batches]))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -585,24 +571,28 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"sweep grid {key!r} must be a non-empty list")
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
-    template = sweep_spec["template"]
+    configs = []
+    for combo in combos:
+        cfg = copy.deepcopy(sweep_spec["template"])
+        for key, value in zip(keys, combo):
+            # a copy: a later key inside this value must not edit the grid
+            _set_dotted(cfg, key, copy.deepcopy(value))
+        configs.append(cfg)
 
-    batches = _sweep_batches(keys, combos, args.jobs)
+    batches = _sweep_batches(configs, args.jobs)
     workers = min(args.jobs, len(batches))
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
         try:
-            results = _sweep_pool(workers, template, keys, batches, combos)
+            results = _sweep_pool(workers, batches, configs)
         except BrokenProcessPool as exc:  # a worker was killed or exited
             print(f"error: {exc}", file=sys.stderr)
             return 3
     else:
-        results = _sweep_results(batches, len(combos), (
-            _sweep_batch(template, keys, [combos[i] for i in batch])
-            for batch in batches))
+        results = _sweep_results(batches, len(configs), (
+            _sweep_batch([configs[i] for i in batch]) for batch in batches))
 
-    out = args.out if args.out is not None else "."
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args, sweep_spec)  # a sweep config has no "out"
     metric_names = ("C0_emp", "eed_min", "r_squared", "mass_drift")
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -676,7 +666,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        # overflow ends in one error line, not numpy warnings (forks inherit)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ reads only step n of sweep k and step n+1 of sweep k-1, so up to
 _SWEEPS_IN_FLIGHT sweeps run as a wavefront, each one step behind the one
 before it (pipelined waveform relaxation; Womble, SIAM J. Sci. Stat.
 Comput. 1990): every time step of the wavefront, lower and upper sequences
-of every moving sweep together, is one multi-column solve. Sweeps past the
+of every sweep in flight together, is one multi-column solve. Sweeps past the
 converged one are speculative and are discarded; a run holds at most
 _SWEEPS_IN_FLIGHT + 1 iterate pairs.
 
@@ -119,10 +119,10 @@ def _sweeps(z0, pair, stepper, params, l_u, l_v, k_max):
     Each sequence advances the linear problems with sources frozen at its own
     previous iterate, sampled at the new time level. Up to _SWEEPS_IN_FLIGHT
     sweeps are in flight: sweep k+1 starts once sweep k has taken a step, and
-    on each tick every sweep whose predecessor is ahead takes one step, all
-    of them in one stepper call. A tick that fails raises at once. The sweeps
-    past the one the caller stops at are discarded; they share its factored
-    matrix, and their iterates stay in the box [0, A] x [0, B] whose rates
+    on each tick every sweep in flight takes one step, all of them in one
+    stepper call. A tick that fails raises at once. The sweeps past the one
+    the caller stops at are discarded; they share its factored matrix, and
+    their iterates stay in the box [0, A] x [0, B] whose rates
     lipschitz_bounds checked to be finite, so their solves are of the same
     kind as those of the sweeps before them.
     """
@@ -139,14 +139,14 @@ def _sweeps(z0, pair, stepper, params, l_u, l_v, k_max):
             chain.append(traj)
             levels.append(0)
             started += 1
-        moving = [i for i in range(1, len(chain)) if levels[i - 1] > levels[i]]
-        now = np.stack([chain[i][levels[i]] for i in moving])
-        ahead = np.stack([chain[i - 1][levels[i] + 1] for i in moving])
+        flight = range(1, len(chain))
+        now = np.stack([chain[i][levels[i]] for i in flight])
+        ahead = np.stack([chain[i - 1][levels[i] + 1] for i in flight])
         ut = ahead[..., geom.trace_cells]
         vt = ahead[..., geom.n_omega:]
         new = stepper.step(now, shifted_f(params, l_u, ut, vt),
                            shifted_g(params, l_v, ut, vt))
-        for i, z in zip(moving, new):
+        for i, z in zip(flight, new):
             levels[i] += 1
             chain[i][levels[i]] = z
         if levels[1] == last:

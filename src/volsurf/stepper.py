@@ -121,6 +121,9 @@ def _step_grid(t0: float, span: float, dt: float):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
+# ulps of a row's largest |p| within which a Newton update of p is round-off
+_ROUNDOFF_ULPS = 1024
+
 # columns per chunk of the K^{-1}A solve at construction: enough for SuperLU's
 # multi-column solve to reach its per-column speed, few enough that the
 # transient stays O(n)
@@ -304,8 +307,9 @@ class _CoupledStepper:
     numbers plus one n_Gamma x n_Gamma LU per row. The Woodbury form of
     J^{-1} (Hager, SIAM Review 1989) then updates p by one dense
     n_Gamma x n_Gamma solve and no sparse one. Once the interface residual
-    meets the tolerance, a second sparse solve forms z = base - K^{-1}(A p);
-    it must meet the full residual test, else the next pass starts from it.
+    meets the tolerance or an update of p is round-off (_ROUNDOFF_ULPS), a
+    second sparse solve forms z = base - K^{-1}(A p); it must meet the full
+    residual test, else the next pass starts from it.
 
     Each row factors its capacitance system I + B^T ka in place in its own
     buffer (LAPACK dgetrf) and keeps the LU and pivots of the last one. The
@@ -530,9 +534,10 @@ class _CoupledStepper:
                 p_new = p + self._interface_update(
                     zg, g, dg, np.flatnonzero(active), first_pass and k == 0)
                 dg = None
-                # a row is done once its update is below float resolution
-                # (its p stays) or its residual meets the target
-                moved = (p_new != p).any(axis=1)
+                # a row's pass is done once its update is round-off (its
+                # residual has stalled) or its residual meets the target
+                moved = (np.abs(p_new - p).max(axis=1) > _ROUNDOFF_ULPS
+                         * math.ulp(1.0) * np.abs(p_new).max(axis=1))
                 p = p_new
                 zg = base_g - self.scale * np.matmul(
                     self.ka_interface, p[..., None])[..., 0]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,22 @@ def test_simulate_with_overflowing_reaction_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
     assert not (tmp_path / "series.csv").exists()
+
+
+@pytest.mark.parametrize("delta_u", [1.0, 1e-3])
+def test_simulate_takes_a_linear_step_whose_pass_stalls_at_round_off(
+        tmp_path, delta_u):
+    # k_u dt = 1e4: the interface residual of the first pass stalls at its
+    # rounding floor above the target, so the pass must end and rebase
+    cfg = {"geometry": {"kind": "strip", "nx": 16, "ny": 8, "width": 1.0,
+                        "height": 1.0},
+           "params": {"alpha": 1, "beta": 1, "k_u": 1e3, "k_v": 1e-3,
+                      "delta_u": delta_u, "delta_v": 0.0},
+           "initial": {"kind": "constant", "u0": 10.0, "v0": 0.0},
+           "step": {"dt": 10.0}, "t_end": 10.0}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "series.csv").read_text().splitlines()) == 3
 
 
 def test_simulate_out_of_memory_is_usage_error(tmp_path, capsys,
@@ -912,33 +929,105 @@ def test_sweep_with_interleaved_groups_is_byte_identical(tmp_path,
     assert len(outputs[0].decode().splitlines()) == 9
 
 
+def grid_configs(keys, combos):
+    """The configs of a sweep over keys: base_config with each combo's
+    values set at the dotted keys."""
+    configs = []
+    for combo in combos:
+        cfg = base_config()
+        for key, value in zip(keys, combo):
+            cli._set_dotted(cfg, key, value)
+        configs.append(cfg)
+    return configs
+
+
 def test_sweep_batches_are_bounded_and_cut_for_jobs(monkeypatch):
-    keys = ["geometry", "initial.u0", "params.alpha", "params.k_v"]
-    combos = [(geo, u0, alpha, 1.0) for geo in ("strip", "disk")
-              for u0 in (1.0, 2.0) for alpha in (1, 2, 3)]
+    configs = grid_configs(
+        ["geometry", "initial.u0", "params.alpha", "params.k_v"],
+        [(geo, u0, alpha, 1.0) for geo in ("strip", "disk")
+         for u0 in (1.0, 2.0) for alpha in (1, 2, 3)])
     # one group per geometry, in grid order
-    assert cli._sweep_batches(keys, combos, 1) == [list(range(6)),
-                                                   list(range(6, 12))]
+    assert cli._sweep_batches(configs, 1) == [list(range(6)),
+                                              list(range(6, 12))]
     monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", 4)
-    assert cli._sweep_batches(keys, combos, 1) == [
+    assert cli._sweep_batches(configs, 1) == [
         [0, 1, 2, 3], [4, 5], [6, 7, 8, 9], [10, 11]]
     # more jobs than batches: the largest batch is halved, first one first
-    assert cli._sweep_batches(keys, combos, 5) == [
+    assert cli._sweep_batches(configs, 5) == [
         [0, 1], [2, 3], [4, 5], [6, 7, 8, 9], [10, 11]]
-    assert cli._sweep_batches(keys, combos, 6) == [
+    assert cli._sweep_batches(configs, 6) == [
         [0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]
-    assert cli._sweep_batches(keys, combos, 64) == [[i] for i in range(12)]
+    assert cli._sweep_batches(configs, 64) == [[i] for i in range(12)]
     # batches come in the order of their first runs
     monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", 2)
-    assert cli._sweep_batches(["params.alpha", "step.dt"], [
-        (1, 0.1), (1, 0.2), (2, 0.1), (2, 0.2), (3, 0.1)], 4) == [
+    assert cli._sweep_batches(grid_configs(["params.alpha", "step.dt"], [
+        (1, 0.1), (1, 0.2), (2, 0.1), (2, 0.2), (3, 0.1)]), 4) == [
             [0], [1, 3], [2], [4]]
     # a key that enters K, here delta_u, splits the groups
-    assert cli._sweep_batches(["params.delta_u"], [(1.0,), (2.0,)], 1) == [
-        [0], [1]]
+    assert cli._sweep_batches(grid_configs(["params.delta_u"], [
+        (1.0,), (2.0,)]), 1) == [[0], [1]]
 
 
-def _die(template, keys, combos):
+def test_sweep_over_params_objects_marches_one_batch(tmp_path, monkeypatch):
+    # whole params objects that share delta_u and delta_v, and seeds, which
+    # no run reads: the six runs share one stepper
+    spec = lockstep_sweep_spec({"dt": 0.05}, {
+        "params": [{"alpha": 1, "beta": 1, "delta_u": 1.0, "delta_v": 0.5},
+                   {"alpha": 2, "beta": 1, "k_u": 2.0, "delta_u": 1.0,
+                    "delta_v": 0.5},
+                   {"alpha": 1.5, "beta": 3, "delta_u": 1.0,
+                    "delta_v": 0.5}],
+        "seed": [1, 2]})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    batches = []
+    real_batch = cli._record_batch
+    monkeypatch.setattr(cli, "_record_batch", lambda states, *a: batches.append(
+        len(states)) or real_batch(states, *a))
+    outputs = []
+    for jobs, rows in (("1", 8), ("2", 8), ("1", 1)):
+        monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", rows)
+        out = tmp_path / f"{jobs}-{rows}"
+        assert main(["sweep", path, "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    # --jobs 2 halves the batch in its workers, which record out of process
+    assert batches[0] == 6 and batches[1:] == [1] * 6
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].decode().splitlines()) == 7
+
+
+def test_sweep_key_inside_a_swept_object_edits_no_other_run(tmp_path):
+    # "params" is set before "params.alpha": each run must get its own copy
+    # of the params object, and sweep.csv must print the grid's values
+    p1 = {"alpha": 1, "beta": 1, "k_u": 2.0, "delta_u": 1.0, "delta_v": 0.5}
+    p2 = {"alpha": 1, "beta": 3, "delta_u": 1.0, "delta_v": 0.5}
+    spec = lockstep_sweep_spec({"dt": 0.05}, {"params": [p1, p2],
+                                              "params.alpha": [1, 2]})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["sweep", path, "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].decode().splitlines()[1:]
+    combos = [(p, alpha) for p in (p1, p2) for alpha in (1, 2)]
+    assert len(rows) == len(combos)
+    for i, (params, alpha) in enumerate(combos):
+        single = lockstep_sweep_spec({"dt": 0.05}, {"params.alpha": [alpha]})
+        single["template"]["params"] = params
+        one = tmp_path / f"single-{i}"
+        assert main(["sweep", write_config(one.parent, single,
+                                           name=f"single-{i}.json"),
+                     "--out", str(one)]) == 0
+        expected = (one / "sweep.csv").read_text().splitlines()[1]
+        # run, params (JSON with commas), params.alpha, then four metrics
+        head, *metrics = rows[i].split(",", 1)[1].rsplit(",", 4)
+        params_cell, alpha_cell = head.rsplit(",", 1)
+        assert json.loads(params_cell) == params and alpha_cell == str(alpha)
+        assert metrics == expected.split(",")[-4:]
+
+
+def _die(configs):
     os._exit(1)
 
 
@@ -948,6 +1037,25 @@ def test_sweep_dead_worker_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["sweep", path, "--out", str(tmp_path), "--jobs", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_overflow_fails_with_one_error_line(tmp_path, capsys, jobs):
+    # u0**alpha overflows the rates: numpy's warnings would come first, and
+    # under an "error" filter they would end the sweep in a traceback
+    spec = lockstep_sweep_spec({"dt": 0.05}, {"params.alpha": [1, 3, 5]})
+    spec["template"].update(
+        geometry={"kind": "strip", "nx": 8, "ny": 4, "width": 1.0,
+                  "height": 2.0},
+        initial={"kind": "constant", "u0": 1e100, "v0": 1.0})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", path, "--out", str(tmp_path), "--jobs", jobs])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: Newton residual is not finite at t=0\n")
     assert not (tmp_path / "sweep.csv").exists()
 
 
