@@ -106,19 +106,20 @@ def _check_strings(section: dict, where: str, keys: tuple):
 
 @functools.cache
 def _schema(target):
-    """Required keys and key types of the config section that target is
-    called with: an argument without a default is required, one annotated
-    int takes whole numbers and any other finite numbers. Cached: reading a
-    signature costs about 0.1 ms."""
+    """Required keys, key types and defaults of the config section that
+    target is called with: an argument without a default is required, one
+    annotated int takes whole numbers and any other finite numbers. Cached:
+    reading a signature costs about 0.1 ms."""
     args = inspect.signature(target, eval_str=True).parameters.values()
     return (tuple(a.name for a in args if a.default is a.empty),
-            {a.name: int if a.annotation is int else float for a in args})
+            {a.name: int if a.annotation is int else float for a in args},
+            {a.name: a.default for a in args if a.default is not a.empty})
 
 
 def _check_section(section: dict, where: str, target, extra=()):
     """Check a config section against target's schema; the keys in extra
     are required as well, and checked by the caller."""
-    required, types = _schema(target)
+    required, types, _ = _schema(target)
     _check_keys(section, where, extra + required, types)
     _check_numbers(section, where, types)
 
@@ -456,14 +457,20 @@ _SWEEP_BATCH_ROWS = 8
 
 
 def _batch_key(cfg: dict) -> str:
-    """What the runs of a lockstep batch share, as JSON: the geometry, the
-    step, the horizon, and delta_u and delta_v, which with dt fix
-    K = diag(M/dt) - D. Orders, rate constants and initial data may differ."""
-    params = cfg.get("params")
-    if isinstance(params, dict):  # anything else fails in _setup
-        params = [params.get("delta_u"), params.get("delta_v")]
-    return json.dumps([cfg.get("geometry"), cfg.get("step"),
-                       cfg.get("t_end"), params], sort_keys=True)
+    """What the runs of a lockstep batch share, as JSON of their values: the
+    geometry, the step, the horizon, and delta_u and delta_v, which with dt
+    fix K = diag(M/dt) - D. Orders, rate constants and initial data may
+    differ. Numbers are floats, and left-out step keys and delta_v take
+    their defaults: 1 and 1.0, or no delta_v and 0.0, share a batch."""
+    step, params = cfg.get("step"), cfg.get("params")
+    if isinstance(step, dict):  # anything else fails in _setup
+        step = {**_schema(StepConfig)[2], **step}
+    if isinstance(params, dict):
+        params = {**_schema(ModelParams)[2], **params}
+        params = [params.get("delta_u"), params["delta_v"]]
+    key = json.dumps([cfg.get("geometry"), step, cfg.get("t_end"), params])
+    # read back with whole numbers as floats; true and false stay bools
+    return json.dumps(json.loads(key, parse_int=float), sort_keys=True)
 
 
 def _sweep_batches(configs: list, jobs: int) -> list:
@@ -485,16 +492,19 @@ def _sweep_batches(configs: list, jobs: int) -> list:
     return sorted(batches)
 
 
+# the metric columns of sweep.csv, which are the keys of a _sweep_result
+_SWEEP_METRICS = ("C0_emp", "eed_min", "r_squared", "mass_drift")
+
+
 def _sweep_result(series) -> dict:
-    """A sweep run's fitted rate and mass drift."""
+    """A sweep run's fitted rate and mass drift, by _SWEEP_METRICS name."""
     drift = float(np.max(np.abs(series.mass - series.mass[0])))
     try:
         fit = fit_rate(series)
         c0, eed, r2 = fit.c0_emp, fit.eed_min, fit.r_squared
     except ValueError:  # run already at equilibrium: nothing to fit
         c0 = eed = r2 = float("nan")
-    return {"C0_emp": c0, "eed_min": eed, "r_squared": r2,
-            "mass_drift": drift}
+    return dict(zip(_SWEEP_METRICS, (c0, eed, r2, drift)))
 
 
 def _sweep_batch(configs: list) -> list:
@@ -593,13 +603,13 @@ def cmd_sweep(args) -> int:
             _sweep_batch([configs[i] for i in batch]) for batch in batches))
 
     out = _out_dir(args, sweep_spec)  # a sweep config has no "out"
-    metric_names = ("C0_emp", "eed_min", "r_squared", "mass_drift")
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("run," + ",".join(keys) + "," + ",".join(metric_names) + "\n")
+        fh.write("run," + ",".join(keys) + "," + ",".join(_SWEEP_METRICS)
+                 + "\n")
         for i, (combo, res) in enumerate(zip(combos, results)):
             cells = [str(i)] + [json.dumps(v) for v in combo]
-            cells += [_fmt(res[name]) for name in metric_names]
+            cells += [_fmt(res[name]) for name in _SWEEP_METRICS]
             fh.write(",".join(cells) + "\n")
     print(f"wrote {path} ({len(combos)} runs)")
     return 0

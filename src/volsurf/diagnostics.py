@@ -3,14 +3,14 @@
 A TraceSeries is the recorded history of one integration: conserved mass,
 entropy, dissipation, distance from equilibrium and the mixing/translation
 split of the relative entropy, one row per accepted step plus the initial
-state. record reads the z-stacks of stepper._march, as comparison_pairs
-does, and computes the rows in blocks: each state is only copied into a
-[row, unknown] buffer of at most _BLOCK_ELEMENTS numbers, and each full
-buffer, then the rest, goes through model's row-wise functionals in one
-vectorised pass. The rows are bitwise those of the one-State functionals,
-and memory does not grow with the horizon beyond the nine columns.
-_record_batch records runs that share a stepper in lockstep, each with its
-own equilibrium, buffers and row checks; record is its one-run case. All
+state. _record_batch records runs that share a stepper in lockstep, and
+record is its one-run case. It reads the z-stacks of stepper._march, as
+comparison_pairs does, and computes the rows in blocks: each stack is only
+copied into one [row, run, unknown] buffer of _BLOCK_ELEMENTS numbers per
+run, and each run's rows of each full buffer, then of the rest, go through
+model's row-wise functionals in one vectorised pass, relative to that run's
+equilibrium. The rows are bitwise those of the one-State functionals, and
+memory does not grow with the horizon beyond the nine columns. All
 audits consume the series (or the raw state trajectory) after the fact;
 nothing here feeds back into the solvers.
 
@@ -20,6 +20,7 @@ It is deliberately restricted to tiny instances and exists to cross-check the
 implicit path.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -87,11 +88,12 @@ class RateFit:
     intercept: float
 
 
-# elements (rows x unknowns) of the block of states that record evaluates at
-# once: a 128 kB buffer, whose temporaries stay within a few hundred kB
-# whatever the grid and the horizon. On the 2,176 unknowns of a 64x32 strip
-# that is 7 rows a block, which evaluate 100 rows in half the time of 1-row
-# blocks; 32768 gained little more for a larger peak
+# elements (rows x unknowns) of the block of one run's states that
+# _record_batch evaluates at once: a 128 kB buffer a run, whose temporaries
+# stay within a few hundred kB whatever the grid and the horizon. On the
+# 2,176 unknowns of a 64x32 strip that is 7 rows a block, which evaluate 100
+# rows in half the time of 1-row blocks; 32768 gained little more for a
+# larger peak
 _BLOCK_ELEMENTS = 16384
 
 
@@ -111,68 +113,51 @@ def _series_block(times, u, v, geom: GridGeometry, params: ModelParams,
         np.vecdot(geom.gamma_weights, np.abs(v - eq.v_inf))))
 
 
-class _Recorder:
-    """The series rows of one run, relative to the equilibrium of its
-    initial mass: pushed states are copied into [row, unknown] buffers, and
-    each full buffer, then the rest, is evaluated as one block."""
-
-    def __init__(self, state0: State, geom: GridGeometry, params: ModelParams):
-        self.geom, self.params = geom, params
-        self.eq = solve_equilibrium(params, geom, mass(state0, geom, params))
-        self.e_eq = equilibrium_entropy(self.eq, geom, params)
-        n_rows = max(1, _BLOCK_ELEMENTS // (geom.n_omega + geom.n_gamma))
-        self.times = np.empty(n_rows)
-        self.u = np.empty((n_rows, geom.n_omega))
-        self.v = np.empty((n_rows, geom.n_gamma))
-        self.blocks = []
-        self.pending = 0
-        self.push(state0.time, state0.u, state0.v)
-
-    def push(self, time, u, v):
-        k = self.pending
-        self.times[k], self.u[k], self.v[k] = time, u, v
-        self.pending = k + 1
-        if self.pending == len(self.times):
-            self.flush()
-
-    def flush(self):
-        k, self.pending = self.pending, 0
-        if k:
-            self.blocks.append(_series_block(
-                self.times[:k], self.u[:k], self.v[:k], self.geom,
-                self.params, self.eq, self.e_eq))
-
-    def series(self, final: State) -> TraceSeries:
-        self.flush()
-        return TraceSeries(*np.concatenate(self.blocks, axis=1),
-                           equilibrium=self.eq, entropy_eq=self.e_eq,
-                           final=final)
-
-
 def _record_batch(states0, geom: GridGeometry, params, cfg: StepConfig,
                   t_end: float) -> list:
     """record of several runs at once, run i from states0[i] with params[i];
-    the TraceSeries of each. The runs march in lockstep as one z-stack
-    (stepper._march), so their params must share delta_u and delta_v.
+    the TraceSeries of each, relative to the equilibrium of its initial
+    mass. The runs march in lockstep as one z-stack (stepper._march), so
+    their params must share delta_u and delta_v.
 
-    A failure of any run is raised once the rows of every run are
-    evaluated, so that a row's error still comes out before the error of a
-    later step."""
-    recorders = [_Recorder(state0, geom, p)
-                 for state0, p in zip(states0, params)]
-    n_u = geom.n_omega
-    time, z = None, None
+    The initial stack and each marched one are copied into one
+    [row, run, unknown] buffer of _BLOCK_ELEMENTS numbers per run; each full
+    buffer, then the rest, is evaluated run by run as one block. The rest
+    is evaluated even when a step fails, so that a row's error, of any run,
+    still comes out before the error of a later step."""
+    eqs = [solve_equilibrium(p, geom, mass(s, geom, p))
+           for s, p in zip(states0, params)]
+    e_eqs = [equilibrium_entropy(eq, geom, p) for eq, p in zip(eqs, params)]
+    n_u, n_z = geom.n_omega, geom.n_omega + geom.n_gamma
+    buf = np.empty((max(1, _BLOCK_ELEMENTS // n_z), len(states0), n_z))
+    times = np.empty(len(buf))
+    blocks = [[] for _ in states0]
+    k = 0
+
+    def flush():
+        nonlocal k
+        rows, k = k, 0
+        if rows:
+            for i, run_blocks in enumerate(blocks):
+                run_blocks.append(_series_block(
+                    times[:rows], buf[:rows, i, :n_u], buf[:rows, i, n_u:],
+                    geom, params[i], eqs[i], e_eqs[i]))
+
+    z0 = np.stack([_stacked(state, geom) for state in states0])
     try:
-        for time, z in _march(states0, geom, params, cfg, t_end):
-            for rec, row in zip(recorders, z):
-                rec.push(time, row[:n_u], row[n_u:])
-    except Exception:
-        for rec in recorders:
-            rec.flush()
-        raise
-    finals = (states0 if z is None  # a zero span takes no step
-              else [State(row[:n_u], row[n_u:], time) for row in z])
-    return [rec.series(final) for rec, final in zip(recorders, finals)]
+        for time, z in itertools.chain(
+                [(states0[0].time, z0)],
+                _march(states0, geom, params, cfg, t_end)):
+            times[k], buf[k] = time, z
+            k += 1
+            if k == len(buf):
+                flush()
+    finally:
+        flush()
+    return [TraceSeries(*np.concatenate(run_blocks, axis=1), equilibrium=eq,
+                        entropy_eq=e_eq,
+                        final=State(row[:n_u], row[n_u:], time))
+            for run_blocks, eq, e_eq, row in zip(blocks, eqs, e_eqs, z)]
 
 
 def record(state0: State, geom: GridGeometry, params: ModelParams,
@@ -181,7 +166,7 @@ def record(state0: State, geom: GridGeometry, params: ModelParams,
     accepted step, relative to the equilibrium of the initial mass; the
     one-run _record_batch.
 
-    Rows are evaluated in blocks (module docstring). A row's error (a state
+    Rows are evaluated in blocks (_record_batch). A row's error (a state
     whose mass left the equilibrium's) still comes out before the error of a
     later step, as if each row were evaluated when its step was taken."""
     series, = _record_batch([state0], geom, [params], cfg, t_end)

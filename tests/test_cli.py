@@ -995,6 +995,59 @@ def test_sweep_over_params_objects_marches_one_batch(tmp_path, monkeypatch):
     assert len(outputs[0].decode().splitlines()) == 7
 
 
+def test_sweep_params_written_differently_march_one_batch(tmp_path,
+                                                         monkeypatch):
+    # delta_u 1.0 and 1, and delta_v missing and 0.0, are the same K: the
+    # two runs share one stepper on the 10-cell interval
+    spec = lockstep_sweep_spec({"dt": 0.05}, {"params": [
+        {"alpha": 1, "beta": 1, "delta_u": 1.0},
+        {"alpha": 2, "beta": 1, "delta_u": 1, "delta_v": 0.0}]})
+    spec["template"].update(geometry=base_config()["geometry"],
+                            params={"alpha": 1, "beta": 1, "delta_u": 1.0})
+    path = write_config(tmp_path, spec, name="sweep.json")
+    batches = []
+    real_batch = cli._record_batch
+    monkeypatch.setattr(cli, "_record_batch", lambda states, *a: batches.append(
+        len(states)) or real_batch(states, *a))
+    outputs = []
+    for rows in (8, 1):
+        monkeypatch.setattr(cli, "_SWEEP_BATCH_ROWS", rows)
+        out = tmp_path / str(rows)
+        assert main(["sweep", path, "--out", str(out), "--jobs", "1"]) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert batches == [2, 1, 1]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].decode().splitlines()) == 3
+
+
+def test_batch_key_compares_values():
+    cfg = base_config(step={"dt": 0.02, "newton_max_iter": 25}, t_end=1)
+    key = cli._batch_key(cfg)
+    # the same values written otherwise, or left to their defaults
+    for same in (base_config(step={"dt": 0.02}, t_end=1.0),
+                 base_config(step={"dt": 0.02, "newton_tol": 1e-12},
+                             t_end=1),
+                 base_config(geometry={"kind": "interval", "n_cells": 10.0,
+                                       "length": 1},
+                             params={"alpha": 3, "beta": 2, "delta_u": 1,
+                                     "delta_v": 0, "k_u": 5.0},
+                             step={"dt": 0.02}, t_end=1)):
+        assert cli._batch_key(same) == key
+    for other in (base_config(step={"dt": 0.02, "newton_max_iter": 24},
+                              t_end=1),
+                  base_config(step={"dt": 0.02}, t_end=1,
+                              params={"alpha": 1, "beta": 1, "delta_u": 1,
+                                      "delta_v": 0.5})):
+        assert cli._batch_key(other) != key
+    # a bool is no number (it fails in _setup), and sections that are not
+    # objects are keyed as they are
+    assert (cli._batch_key(base_config(step={"dt": 0.02,
+                                             "newton_max_iter": True}))
+            != cli._batch_key(base_config(step={"dt": 0.02,
+                                                "newton_max_iter": 1})))
+    assert cli._batch_key(base_config(step=[1], params="p")) != key
+
+
 def test_sweep_key_inside_a_swept_object_edits_no_other_run(tmp_path):
     # "params" is set before "params.alpha": each run must get its own copy
     # of the params object, and sweep.csv must print the grid's values

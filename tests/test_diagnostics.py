@@ -146,19 +146,29 @@ def record_batch_runs(g, rng):
     ]
 
 
-def test_record_batch_runs_match_record():
+@pytest.mark.parametrize("block_rows, t_end, n_rows", [
+    (None, 1.0, 21),  # one block
+    # the runs' rows share one buffer, refilled in blocks of 3, 3, 3 and 2
+    # rows, and each run's rows are read from strided views of it
+    (3, 0.5, 11),
+])
+def test_record_batch_runs_match_record(block_rows, t_end, n_rows):
     # every column of every run of a lockstep batch, and its final state,
-    # is bitwise the run recorded alone
+    # is bitwise the run recorded alone in one block
     g = build_periodic_strip(8, 4, 1.0, 2.0)
     runs = record_batch_runs(g, np.random.default_rng(5))
     cfg = StepConfig(dt=0.05)
     states, params = zip(*runs)
-    batch = diagnostics._record_batch(states, g, params, cfg, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(diagnostics, "_BLOCK_ELEMENTS",
+                       block_rows * (g.n_omega + g.n_gamma))
+        batch = diagnostics._record_batch(states, g, params, cfg, t_end)
     assert len(batch) == len(runs)
     n_columns = len(diagnostics.SERIES_COLUMNS)
     for series, (s0, p) in zip(batch, runs):
-        alone = record(s0, g, p, cfg, 1.0)
-        assert len(series) == 21
+        alone = record(s0, g, p, cfg, t_end)
+        assert len(series) == n_rows
         for column in dataclasses.fields(TraceSeries)[:n_columns]:
             assert np.array_equal(getattr(series, column.name),
                                   getattr(alone, column.name)), column.name
@@ -212,24 +222,30 @@ def test_record_row_error_comes_before_a_later_step_failure(monkeypatch):
     assert str(info.value).startswith(f"state mass {m2!r} ")
 
 
-def test_record_memory_does_not_grow_with_the_states():
+@pytest.mark.parametrize("n_runs", [1, 4])
+def test_record_memory_does_not_grow_with_the_states(n_runs):
     # record keeps the nine columns, never the trajectory: 150 more steps
-    # on 2,176 unknowns (17 kB a state) cost a few hundred bytes each
+    # on 2,176 unknowns (17 kB a state) cost a few hundred bytes a run each,
+    # also when the runs of a lockstep batch share one block buffer
     g = build_periodic_strip(64, 32, 2.0, 1.0)
-    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=0.5)
     x = np.arange(g.n_omega) % 64 * (2.0 * np.pi / 64)
-    s0 = State(1.0 + 0.39 * np.cos(x), np.full(g.n_gamma, 0.5))
+    states = [State(1.0 + 0.39 * c * np.cos(x), np.full(g.n_gamma, 0.5))
+              for c in (1.0, 0.5, 0.25, 0.75)[:n_runs]]
+    params = [ModelParams(alpha=alpha, beta=1.0, delta_u=1.0, delta_v=0.5)
+              for alpha in (2.0, 1.0, 3.0, 1.5)[:n_runs]]
     cfg = StepConfig(dt=0.01)
-    record(s0, g, p, cfg, cfg.dt)  # first-call allocations
+    # first-call allocations
+    diagnostics._record_batch(states, g, params, cfg, cfg.dt)
     peaks = []
     for steps in (50, 200):
         tracemalloc.start()
         try:
-            record(s0, g, p, cfg, steps * cfg.dt)
+            diagnostics._record_batch(states, g, params, cfg,
+                                      steps * cfg.dt)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 150 <= 400
+    assert (peaks[1] - peaks[0]) / 150 / n_runs <= 400
 
 
 # ------------------------------------------------- entropy-dissipation identity
