@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import OracleFailure
 from .grid import GridGeometry
 from .model import (Equilibrium, ModelParams, State, _decomposition_rows,
-                    _dissipation_rows, _entropy_rows, _mass_rows, ckp_constant,
-                    equilibrium_entropy, mass, solve_equilibrium)
+                    _dissipation_rows, _entropy_rows, _mass_rows, _xlogy,
+                    ckp_constant, equilibrium_entropy, mass, solve_equilibrium)
 # record evaluates blocks of rows and no longer calls these per state; they
 # stay importable here because the benchmark's tracer wraps them by this name
 from .model import dissipation, entropy, entropy_decomposition  # noqa: F401
@@ -103,7 +102,7 @@ def _series_block(times, u, v, geom: GridGeometry, params: ModelParams,
     states u [row, n_omega], v [row, n_gamma] at the given times. The
     x log x terms and the mass are evaluated once, for E and I1 and for the
     mass column and the decomposition's check."""
-    xu, xv = xlogy(u, u), xlogy(v, v)
+    xu, xv = _xlogy(u, u), _xlogy(v, v)
     e = _entropy_rows(u, v, geom, params, xu, xv)
     m = _mass_rows(u, v, geom, params)
     i1, i2 = _decomposition_rows(u, v, geom, params, eq, m, xu, xv)

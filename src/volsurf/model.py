@@ -19,13 +19,16 @@ c = k_u u_inf^alpha = k_v v_inf^beta the linear part of E - E_inf is
 (log c / (alpha beta)) (beta <u - u_inf> + alpha <v - v_inf>), which mass
 conservation makes 0; the relative entropy and its I1/I2 split therefore
 do not depend on the rates.
+
+Every x log y term of the entropy and its split goes through _xlogy, which
+follows the convention 0*log 0 = 0: the term is exactly 0 wherever x = 0,
+whatever y, and evaluating it raises no floating-point warning.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DegenerateInputError
 from .grid import GridGeometry
@@ -324,9 +327,17 @@ def equilibrium_state(eq: Equilibrium, geom: GridGeometry, time: float = 0.0) ->
                  np.full(geom.n_gamma, eq.v_inf), time)
 
 
+def _xlogy(x, y):
+    """x * log(y), exactly 0 where x == 0 (0*log 0 = 0). log is taken of y
+    as given, before broadcasting, so a y of one value per row costs one log
+    per row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def _entropy_rows(u, v, geom: GridGeometry, params: ModelParams,
                   xu, xv) -> np.ndarray:
-    """E per row; xu, xv are xlogy(u, u), xlogy(v, v)."""
+    """E per row; xu, xv are _xlogy(u, u), _xlogy(v, v)."""
     _require_nonnegative("entropy", u, v)
     mu_u = math.log(params.k_u) / params.alpha
     mu_v = math.log(params.k_v) / params.beta
@@ -338,8 +349,8 @@ def entropy(state: State, geom: GridGeometry, params: ModelParams) -> float:
     """Free energy E = <u(log u - 1 + mu_u)> + <v(log v - 1 + mu_v)>, with
     mu_u = log(k_u)/alpha, mu_v = log(k_v)/beta and 0*log 0 = 0."""
     u, v = _rows(state)
-    return float(_entropy_rows(u, v, geom, params, xlogy(u, u),
-                               xlogy(v, v))[0])
+    return float(_entropy_rows(u, v, geom, params, _xlogy(u, u),
+                               _xlogy(v, v))[0])
 
 
 def equilibrium_entropy(eq: Equilibrium, geom: GridGeometry,
@@ -401,21 +412,21 @@ def dissipation(state: State, geom: GridGeometry, params: ModelParams) -> float:
 
 
 def _bregman(x, x_inf):
-    return xlogy(x, x) - xlogy(x, x_inf) - (x - x_inf)
+    return _xlogy(x, x) - _xlogy(x, x_inf) - (x - x_inf)
 
 
 def _decomposition_rows(u, v, geom: GridGeometry, params: ModelParams,
                         eq: Equilibrium, m, xu, xv):
     """(I1, I2) per row; m is the mass per row and xu, xv are
-    xlogy(u, u), xlogy(v, v)."""
+    _xlogy(u, u), _xlogy(v, v)."""
     off = np.abs(m - eq.mass) > 1e-8 * max(abs(eq.mass), 1.0)
     if off.any():
         raise ValueError(f"state mass {float(m[np.argmax(off)])!r} does not "
                          f"match equilibrium mass {eq.mass!r}")
     u_bar = np.vecdot(geom.omega_weights, u) / geom.omega_measure
     v_bar = np.vecdot(geom.gamma_weights, v) / geom.gamma_measure
-    i1 = (np.vecdot(geom.omega_weights, xu - xlogy(u, u_bar[:, None]))
-          + np.vecdot(geom.gamma_weights, xv - xlogy(v, v_bar[:, None])))
+    i1 = (np.vecdot(geom.omega_weights, xu - _xlogy(u, u_bar[:, None]))
+          + np.vecdot(geom.gamma_weights, xv - _xlogy(v, v_bar[:, None])))
     i2 = (geom.omega_measure * _bregman(u_bar, eq.u_inf)
           + geom.gamma_measure * _bregman(v_bar, eq.v_inf))
     return i1, i2
@@ -432,8 +443,8 @@ def entropy_decomposition(state: State, geom: GridGeometry,
     """
     u, v = _rows(state)
     i1, i2 = _decomposition_rows(u, v, geom, params, eq,
-                                 _mass_rows(u, v, geom, params), xlogy(u, u),
-                                 xlogy(v, v))
+                                 _mass_rows(u, v, geom, params), _xlogy(u, u),
+                                 _xlogy(v, v))
     return float(i1[0]), float(i2[0])
 
 

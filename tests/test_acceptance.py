@@ -8,6 +8,7 @@ non-constant initial profiles; session fixtures compute every trajectory
 exactly once.
 """
 
+import dataclasses
 import math
 import time
 
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 
 from volsurf.cli import build_initial_state
-from volsurf.diagnostics import (_record_batch, audit_ckp,
-                                 audit_degenerate_coupling,
+from volsurf.diagnostics import (SERIES_COLUMNS, TraceSeries, _record_batch,
+                                 audit_ckp, audit_degenerate_coupling,
                                  check_entropy_dissipation_identity,
                                  dense_oracle, fit_rate)
 from volsurf.grid import build_interval, build_periodic_strip
@@ -37,6 +38,12 @@ CASES = tuple(
 )
 
 IDENTITY_T_START = 0.15  # skips the stiff initial transient (~h^2/delta_u)
+
+# records of a run to t = 2 at dt = 1e-2: the initial one and 200 steps
+SHORT_RECORDS = 201
+# the TraceSeries fields that hold one value per record
+RECORD_FIELDS = tuple(f.name for f in
+                      dataclasses.fields(TraceSeries)[:len(SERIES_COLUMNS)])
 
 
 def case_params(case) -> ModelParams:
@@ -100,10 +107,28 @@ def record_groups(cases, geometries, dt, t_end, grid=None):
     return out
 
 
+def series_prefix(series, n):
+    """The first n records of series. Its final state is not kept, so the
+    prefix's final is None."""
+    return dataclasses.replace(
+        series, final=None,
+        **{name: getattr(series, name)[:n] for name in RECORD_FIELDS})
+
+
 @pytest.fixture(scope="session")
-def short_runs(geometries):
-    """t_end = 2 at dt = 1e-2: (series, wall seconds of its batch) per case."""
-    return record_groups(CASES, geometries, 1e-2, 2.0)
+def long_batches(geometries):
+    """t_end = 10 at dt = 1e-2: (series, wall seconds of its batch) per case."""
+    return record_groups(CASES, geometries, 1e-2, 10.0)
+
+
+@pytest.fixture(scope="session")
+def short_runs(long_batches):
+    """t_end = 2 at dt = 1e-2: (series, wall seconds of its batch) per case,
+    taken from long_batches. Both step grids have h = 1e-2, so the first
+    SHORT_RECORDS records are bitwise those of a run to t = 2; the seconds
+    are those of the 1,000-step batch."""
+    return {case: (series_prefix(series, SHORT_RECORDS), elapsed)
+            for case, (series, elapsed) in long_batches.items()}
 
 
 @pytest.fixture(scope="session")
@@ -114,10 +139,9 @@ def half_dt_runs(geometries):
 
 
 @pytest.fixture(scope="session")
-def long_runs(geometries):
+def long_runs(long_batches):
     """t_end = 10 at dt = 1e-2, used by the equilibration criteria."""
-    return {case: series for case, (series, _)
-            in record_groups(CASES, geometries, 1e-2, 10.0).items()}
+    return {case: series for case, (series, _) in long_batches.items()}
 
 
 @pytest.fixture(scope="session")
@@ -127,6 +151,21 @@ def refined_runs(geometries):
     return {case: series for case, (series, _)
             in record_groups(strips, geometries, 1e-2, 10.0,
                              "strip_fine").items()}
+
+
+def test_short_runs_are_a_run_to_t_2(geometries, short_runs):
+    # one lockstep group recorded to t = 2 is bitwise the prefix short_runs
+    # takes of its run to t = 10
+    group = [case for case in CASES if case[0] == "interval"]
+    for case, (series, _) in record_groups(group, geometries, 1e-2,
+                                           2.0).items():
+        prefix, _ = short_runs[case]
+        assert len(prefix) == len(series) == SHORT_RECORDS
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(prefix, name),
+                                  getattr(series, name)), name
+        assert prefix.equilibrium == series.equilibrium
+        assert prefix.entropy_eq == series.entropy_eq
 
 
 def test_01_conservation(short_runs):

@@ -42,6 +42,14 @@ def write_config(tmp_path, cfg, name="config.json"):
 # ----------------------------------------------------------------- plumbing
 
 
+def volsurf_env():
+    """os.environ with the volsurf under test first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(volsurf.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_no_arguments_prints_help(capsys):
     assert main([]) == 2
     assert "simulate" in capsys.readouterr().out
@@ -76,6 +84,20 @@ def test_every_exported_name_resolves():
         "semi_discrete_rhs", "RateFit", "TraceSeries", "audit_ckp",
         "audit_degenerate_coupling", "check_entropy_dissipation_identity",
         "dense_oracle", "fit_rate", "record", "write_series_csv"}
+
+
+@pytest.mark.parametrize("module", ["volsurf", "volsurf.cli"])
+def test_import_leaves_unused_scipy_out(module):
+    # every command pays for what importing volsurf loads: scipy.special
+    # alone is about 3.6 MB of resident memory, and scipy.integrate is
+    # imported by dense_oracle when it runs
+    unused = ("scipy.special", "scipy.integrate", "scipy.optimize")
+    code = (f"import sys, {module}; "
+            f"print(' '.join(m for m in {unused!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=volsurf_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_unknown_subcommand():
@@ -505,13 +527,10 @@ def test_monotone_horizon_beyond_memory_exits_2_at_once(tmp_path):
     # 1e9 time levels: the time grid alone is 7.45 GiB, the pair stacks of
     # the sweeps in flight are far beyond any physical memory
     path = write_config(tmp_path, base_config(step={"dt": 1e-3}, t_end=1e6))
-    src = os.path.dirname(os.path.dirname(volsurf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, "monotone", path,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=volsurf_env(), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "too large for memory" in proc.stderr
     assert "iterate pair stacks" in proc.stderr

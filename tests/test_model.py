@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from volsurf.errors import DegenerateInputError
 from volsurf.grid import build_interval, build_periodic_strip
-from volsurf.model import (Equilibrium, ModelParams, State, ckp_constant,
+from volsurf.model import (Equilibrium, ModelParams, State, _xlogy, ckp_constant,
                            constant_upper_solution, dissipation, entropy,
                            entropy_decomposition, equilibrium_entropy,
                            equilibrium_from_measures, equilibrium_state,
@@ -307,6 +308,35 @@ def test_equilibrium_residuals_seeded():
 
 
 # -------------------------------------------------------------------- entropy
+
+
+def test_xlogy_of_zero_x_is_exactly_zero():
+    # 0*log 0 = 0 and 0*log y = +0 for every y, without a warning: the
+    # entropy functionals are called outside main's np.errstate too
+    x = np.zeros((2, 4))
+    y = np.array([0.0, 1e-300, 0.5, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in (_xlogy(x, y), _xlogy(x, x), _xlogy(x, np.zeros((2, 1))),
+                    _xlogy(0.0, 0.0)):
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+        g = build_interval(4, 1.0)
+        s = State(np.array([0.0, 0.0, 2.0, 0.0]), np.array([0.0, 1.0]))
+        p = params_for(alpha=2.0)
+        entropy(s, g, p)
+        entropy_decomposition(s, g, p, solve_equilibrium(p, g, mass(s, g, p)))
+
+
+def test_xlogy_matches_scipy_within_two_ulps():
+    from scipy.special import xlogy
+
+    rng = np.random.default_rng(17)
+    x = 10.0 ** rng.uniform(-300.0, 300.0, 200_000)
+    y = 10.0 ** rng.uniform(-300.0, 300.0, 200_000)
+    for a, b in ((x, y), (x, x), (x[:4096, None], y[:64])):
+        ref = xlogy(a, b)
+        ulps = np.abs(_xlogy(a, b) - ref) / np.spacing(np.abs(ref))
+        assert np.max(ulps) <= 2.0
 
 
 def test_entropy_examples():
