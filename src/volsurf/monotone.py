@@ -43,7 +43,7 @@ from .grid import GridGeometry
 from .model import (ModelParams, State, constant_upper_solution,
                     lipschitz_bounds, shifted_f, shifted_g)
 from .stepper import (StepConfig, _LinearStepper, _march, _stacked,
-                      _step_grid)
+                      _step_count, _step_grid)
 # unused here; bound because perfbench/tracing.py wraps them by name
 from .stepper import linear_bulk_step, linear_surface_step  # noqa: F401
 
@@ -184,7 +184,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
 
     # the time grid and the pair stacks of the sweeps in flight and of their
     # predecessor, sized before any of them is allocated
-    n_levels = t_horizon / cfg.dt + 1.0
+    n_levels = _step_count(t_horizon, cfg.dt) + 1
     need = 8.0 * n_levels * (1 + 2 * z0.size * (_SWEEPS_IN_FLIGHT + 1))
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:

@@ -113,10 +113,18 @@ def _stacked(state: State, geom: GridGeometry) -> np.ndarray:
     return np.concatenate([state.u, state.v])
 
 
+def _step_count(span: float, dt: float) -> int:
+    """round(span/dt), at least 1: the step count of _step_grid."""
+    if not math.isfinite(span / dt):
+        raise ValueError(f"t_end / dt = {span:g} / {dt:g} steps is beyond "
+                         f"the float range")
+    return max(1, int(round(span / dt)))
+
+
 def _step_grid(t0: float, span: float, dt: float):
-    """(h, times) of the uniform grid of round(span/dt) >= 1 steps over
+    """(h, times) of the uniform grid of _step_count steps over
     [t0, t0 + span]: a span that is a multiple of dt gives dt-sized steps."""
-    n_steps = max(1, int(round(span / dt)))
+    n_steps = _step_count(span, dt)
     h = span / n_steps
     return h, t0 + h * np.arange(n_steps + 1)
 

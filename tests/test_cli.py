@@ -237,6 +237,53 @@ def test_mistyped_config_value_rejected(tmp_path, capsys, dotted, value):
     assert err.startswith("error:") and last in err
 
 
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "cosine", "u0": 1.0, "v0": 1.0},
+     "missing key(s) in initial: amplitude"),
+    ({"kind": "constant", "u0": 1.0, "v0": 1.0, "amplitude": 0.1},
+     "unknown key(s) in initial: amplitude (accepted: kind, u0, v0)"),
+    ({"kind": 5, "u0": 1.0, "v0": 1.0},
+     "initial.kind must be one of ['constant', 'cosine', 'step'], got 5"),
+], ids=["amplitude-missing", "amplitude-unknown", "kind-not-a-string"])
+def test_initial_errors_read_the_kind_schema(tmp_path, capsys, initial,
+                                             message):
+    # the initial section is checked as geometry is: its kind names a
+    # builder, whose signature lists the other keys
+    path = write_config(tmp_path, base_config(initial=initial))
+    assert main(["equilibrium", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("geometry", [
+    {"kind": "strip", "nx": 8, "ny": 4, "width": 2.0, "height": 1.0},
+    {"kind": "disk", "nr": 4, "ntheta": 8, "radius": 1.0},
+], ids=["strip", "disk"])
+@pytest.mark.parametrize("kind", ["constant", "step", "cosine"])
+def test_initial_profiles_follow_their_formulas(geometry, kind):
+    geom = cli.build_geometry(geometry)
+    x, y = geom.omega_unit_coord, geom.gamma_unit_coord
+    u0, v0, amp = 1.0, 0.5, 0.3
+    keys = ("u0", "v0") if kind == "constant" else ("u0", "v0", "amplitude")
+    # the kind's builder takes the geometry first, not as a config key
+    assert cli._schema(cli._KINDS["initial"][kind])[0] == keys
+    expected = {
+        "constant": (np.full(geom.n_omega, u0), np.full(geom.n_gamma, v0)),
+        "step": (np.where(x < 0.5, u0 + amp, u0 - amp),
+                 np.where(y < 0.5, v0 + amp, v0 - amp)),
+        "cosine": (u0 + amp * np.cos(2.0 * np.pi * x),
+                   v0 + amp * np.cos(2.0 * np.pi * y)),
+    }[kind]
+    # whole numbers in the config are read as floats
+    ini = dict(zip(("kind",) + keys, (kind, 1, v0, amp)))
+    state = cli.build_initial_state(ini, geom)
+    assert np.array_equal(state.u, expected[0])
+    assert np.array_equal(state.v, expected[1])
+    assert state.u.dtype == state.v.dtype == np.float64
+    assert state.time == 0.0
+    if kind != "constant":
+        assert len(np.unique(state.u)) > 1 and len(np.unique(state.v)) > 1
+
+
 LEAF_CONFIGS = {
     "interval": base_config(seed=3, out="run"),
     "strip": {
@@ -535,6 +582,29 @@ def test_monotone_horizon_beyond_memory_exits_2_at_once(tmp_path):
     assert "too large for memory" in proc.stderr
     assert "iterate pair stacks" in proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("step, t_end", [({"dt": 1e-10}, 1e300),
+                                         ({"dt": 1e-320}, 1.0)],
+                         ids=["t_end-huge", "dt-subnormal"])
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["monotone"], ["verify", "--suite", "entropy"],
+    ["verify", "--suite", "comparison"], ["verify", "--suite", "oracle"],
+    ["sweep", "--jobs", "1"], ["sweep", "--jobs", "2"]], ids="-".join)
+def test_step_count_beyond_float_range_is_usage_error(tmp_path, capsys,
+                                                      command, step, t_end):
+    # t_end / dt is infinite although both are finite and the schema takes
+    # them: every command stops at the step count with one error line
+    cfg = base_config(geometry={"kind": "interval", "n_cells": 4,
+                                "length": 1.0}, step=step, t_end=t_end)
+    if command[0] == "sweep":  # two runs, so --jobs 2 starts two workers
+        cfg = {"template": cfg, "grid": {"params.alpha": [1, 2]}}
+    path = write_config(tmp_path, cfg)
+    assert main(command + [path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end / dt = ")
+    assert err.endswith(" steps is beyond the float range\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["monotone"],

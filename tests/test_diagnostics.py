@@ -487,7 +487,7 @@ def _rk4_reference(state0, geom, params, t_end, h, n_checkpoints):
     return [State(zc[:n_u], zc[n_u:]) for zc in out]
 
 
-def test_oracle_python_fallback_matches_kernel():
+def test_oracle_matches_python_rk4():
     # the adaptive oracle against a plain-python RK4 at h=1e-5: two
     # unrelated integrators must land on the same semi-discrete trajectory
     g = build_interval(3, 1.0)

@@ -69,7 +69,7 @@ def test_solve_tridiagonal_matches_dense():
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
-def test_ring_operator_takes_direct_path():
+def test_two_ring_surface_operator_matches_dense():
     # the strip boundary is two disjoint periodic rings in one matrix
     g = build_periodic_strip(8, 2, 1.0, 1.0)
     a = assemble_shifted(g.surface_laplacian, np.ones(g.n_gamma), 0.05)
@@ -80,8 +80,8 @@ def test_ring_operator_takes_direct_path():
     assert np.max(np.abs(x - np.linalg.solve(a.toarray(), rhs))) <= 1e-12
 
 
-def test_wide_operator_solves_to_tolerance():
-    # a 2D bulk operator, which no reordering makes narrow, takes the same path
+def test_2d_bulk_operator_solves_to_tolerance():
+    # a 2D bulk operator: the requested residual and the dense solution
     g = build_periodic_strip(12, 6, 1.0, 1.0)
     a = assemble_shifted(g.bulk_laplacian, np.full(g.n_omega, 1.0), 0.02)
     rhs = np.cos(np.arange(g.n_omega))
