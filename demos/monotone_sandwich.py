@@ -24,7 +24,7 @@ def main():
     s0 = State(np.ones(geom.n_omega), np.zeros(geom.n_gamma))
     cfg = StepConfig(dt=1e-2)
 
-    solution, report = run_monotone(s0, geom, p, cfg, t_horizon=0.5,
+    solution, report = run_monotone(s0, geom, p, cfg, t_end=0.5,
                                     outer_tol=1e-8)
 
     print(f"converged in {report.k_final} sweeps, "

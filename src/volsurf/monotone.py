@@ -164,10 +164,10 @@ def _ordering_margins(prev, new):
 
 
 def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
-                 cfg: StepConfig, t_horizon: float,
+                 cfg: StepConfig, t_end: float,
                  outer_tol: float = DEFAULT_OUTER_TOL,
                  k_max: int = DEFAULT_K_MAX):
-    """Run the upper/lower iteration over [time0, time0 + t_horizon].
+    """Run the upper/lower iteration over [time0, time0 + t_end].
 
     Returns (solution, report): the midpoint trajectory as a list of States
     on the uniform time grid, and the IterationReport with every sweep's gap
@@ -175,8 +175,8 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
     (gap sequence attached) if k_max sweeps do not reach outer_tol.
     """
     z0 = _stacked(state0, geom)
-    if t_horizon <= 0:
-        raise ValueError(f"t_horizon must be positive, got {t_horizon}")
+    if t_end <= 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     if not outer_tol > 0:
         raise ValueError(f"outer_tol must be positive, got {outer_tol}")
     if k_max < 1:
@@ -184,7 +184,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
 
     # the time grid and the pair stacks of the sweeps in flight and of their
     # predecessor, sized before any of them is allocated
-    n_levels = _step_count(t_horizon, cfg.dt) + 1
+    n_levels = _step_count(t_end, cfg.dt) + 1
     need = 8.0 * n_levels * (1 + 2 * z0.size * (_SWEEPS_IN_FLIGHT + 1))
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
@@ -192,7 +192,7 @@ def run_monotone(state0: State, geom: GridGeometry, params: ModelParams,
             f"the time grid and {_SWEEPS_IN_FLIGHT + 1} iterate pair stacks of "
             f"{n_levels:.3g} time levels need {need / 2**30:.3g} GiB, more than "
             f"the {memory / 2**30:.3g} GiB of physical memory")
-    h, times = _step_grid(state0.time, t_horizon, cfg.dt)
+    h, times = _step_grid(state0.time, t_end, cfg.dt)
 
     sup_u0 = float(np.max(state0.u))
     sup_v0 = float(np.max(state0.v))

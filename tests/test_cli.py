@@ -672,7 +672,7 @@ def test_verify_oracle_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("suite", ["conservation", "entropy", "ckp",
-                                   "sandwich", "comparison", "linear-case"])
+                                   "sandwich", "comparison", "agreement"])
 def test_verify_suites_pass_on_small_interval_run(tmp_path, suite):
     cfg = base_config(initial={"kind": "step", "u0": 1.0, "v0": 0.5,
                                "amplitude": 0.4},
@@ -767,17 +767,93 @@ def test_verify_degenerate_suite_rejects_surface_diffusion(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_verify_linear_case_requires_linear_exponents(tmp_path):
-    cfg = base_config()
-    cfg["params"]["alpha"] = 2.0
+# nonlinear exponents on each geometry; Newton and the certified midpoint
+# differ by 2e-11 to 2.1e-10, against tolerances of 1.3e-7 to 2e-7
+AGREEMENT_CONFIGS = {
+    "interval": {
+        "geometry": {"kind": "interval", "n_cells": 20, "length": 1.0},
+        "params": {"alpha": 2.0, "beta": 1.0, "delta_u": 1.0},
+        "initial": {"kind": "step", "u0": 1.0, "v0": 0.5, "amplitude": 0.4},
+        "step": {"dt": 0.01},
+        "t_end": 0.5,
+    },
+    "strip": {
+        "geometry": {"kind": "strip", "nx": 8, "ny": 4,
+                     "width": 1.0, "height": 1.0},
+        "params": {"alpha": 2.0, "beta": 3.0, "delta_u": 1.0, "delta_v": 0.3},
+        "initial": {"kind": "cosine", "u0": 1.0, "v0": 0.5, "amplitude": 0.3},
+        "step": {"dt": 0.02},
+        "t_end": 0.2,
+    },
+    "disk": {
+        "geometry": {"kind": "disk", "nr": 4, "ntheta": 8, "radius": 1.0},
+        "params": {"alpha": 4.0, "beta": 4.0, "delta_u": 1.0},
+        "initial": {"kind": "cosine", "u0": 1.0, "v0": 0.5, "amplitude": 0.3},
+        "step": {"dt": 0.01},
+        "t_end": 0.2,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AGREEMENT_CONFIGS))
+def test_verify_agreement_passes_for_nonlinear_exponents(tmp_path, kind):
+    path = write_config(tmp_path, AGREEMENT_CONFIGS[kind])
+    assert main(["verify", path, "--suite", "agreement",
+                 "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "verdict.json").read_text())["metrics"]
+    assert metrics["sup_diff"] <= 1e-2 * metrics["tolerance"]
+    assert metrics["sweeps"] >= 1
+    assert abs(metrics["enclosure_margin"]) <= metrics["tolerance"]
+
+
+@pytest.mark.parametrize("kind", sorted(AGREEMENT_CONFIGS))
+def test_verify_agreement_fails_when_newton_takes_another_step(
+        tmp_path, monkeypatch, kind):
+    # Newton at twice the certified iteration's dt solves other step
+    # equations; its final state misses the midpoint by 1e-3 or more
+    real_integrate = cli.integrate
+
+    def integrate_at_twice_dt(state0, geom, params, cfg, t_end):
+        cfg = dataclasses.replace(cfg, dt=2.0 * cfg.dt)
+        return real_integrate(state0, geom, params, cfg, t_end)
+
+    monkeypatch.setattr(cli, "integrate", integrate_at_twice_dt)
+    path = write_config(tmp_path, AGREEMENT_CONFIGS[kind])
+    assert main(["verify", path, "--suite", "agreement",
+                 "--out", str(tmp_path)]) == 1
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["passed"] is False
+    assert verdict["metrics"]["sup_diff"] > 1e-3
+
+
+def test_verify_agreement_reports_enclosure_margin_without_gating(tmp_path):
+    # a loose but valid newton_tol leaves Newton's final state within the
+    # verdict tolerance of the midpoint, yet outside the final enclosure by
+    # more than the ordering slack
+    cfg = copy.deepcopy(AGREEMENT_CONFIGS["interval"])
+    cfg["step"]["newton_tol"] = 1e-6
     path = write_config(tmp_path, cfg)
-    assert main(["verify", path, "--suite", "linear-case",
-                 "--out", str(tmp_path)]) == 2
+    assert main(["verify", path, "--suite", "agreement",
+                 "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "verdict.json").read_text())["metrics"]
+    scale = metrics["tolerance"] / 1e-7  # max(1, A, B)
+    assert metrics["enclosure_margin"] < -monotone.ORDERING_SLACK * scale
+
+
+@pytest.mark.parametrize("command", [["monotone"],
+                                     ["verify", "--suite", "sandwich"],
+                                     ["verify", "--suite", "agreement"]])
+def test_zero_horizon_of_certified_iteration_names_t_end(tmp_path, capsys,
+                                                          command):
+    path = write_config(tmp_path, base_config(t_end=0))
+    assert main(command + [path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t_end" in err
 
 
 def test_suite_registry_matches_parser_choices():
-    assert sorted(SUITES) == ["ckp", "comparison", "conservation",
-                              "degenerate", "entropy", "linear-case",
+    assert sorted(SUITES) == ["agreement", "ckp", "comparison",
+                              "conservation", "degenerate", "entropy",
                               "oracle", "sandwich"]
 
 
