@@ -1,13 +1,15 @@
 """Finite-volume geometries with a bulk domain and a reactive boundary.
 
-Each geometry carries cell-centered volumes for the bulk domain, cell-centered
-boundary patches, a trace map linking boundary patches to their adjacent bulk
-cells, and divergence-form Laplacians for both. The Laplacians are assembled
-from explicit face lists (two-point flux), so measure-weighted symmetry and
-zero row sums hold by construction; the same face lists feed the entropy
-dissipation quadratures. Each builder describes only its primary mesh; one
-constructor derives the trace factors, Laplacians and measures from it and
-rejects sizes that leave the float range.
+A GridGeometry holds the bulk cell volumes and the boundary patch measures,
+the faces of both meshes with their transmissibilities, the trace map from
+each patch to its adjacent bulk cell with the trace factors, divergence-form
+Laplacians for both meshes, both total measures, and the unit coordinates
+that place each cell and patch in [0, 1]. The Laplacians are assembled from
+the face lists (two-point flux), so measure-weighted symmetry and zero row
+sums hold by construction; the same face lists feed the entropy dissipation
+quadratures. Each builder describes only its primary mesh; one constructor
+derives the trace factors, Laplacians and measures from it and rejects sizes
+that leave the float range.
 
 Conventions:
     - Bulk Laplacian rows discretize the Laplacian with zero-flux outer
@@ -16,34 +18,26 @@ Conventions:
     - trace_factors[j] converts a boundary flux density on patch j into a rate
       of change of the adjacent cell average: gamma_weights[j] / omega
       cell volume.
-    - The interval geometry has a two-point boundary with counting measure and
-      a zero surface Laplacian; it is the degenerate instance of the family
-      and only meaningful with zero surface diffusion.
+    - The interval is the geometry whose surface has no faces: its boundary
+      is two points with counting measure and its surface Laplacian is zero.
+      The steppers read the empty gamma_faces to refuse delta_v > 0 there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "GridKind",
     "GridGeometry",
     "build_interval",
     "build_periodic_strip",
     "build_polar_disk",
     "trace",
 ]
-
-
-class GridKind(Enum):
-    INTERVAL_1D = "interval1d"
-    PERIODIC_STRIP_2D = "periodic_strip2d"
-    POLAR_DISK_2D = "polar_disk2d"
 
 
 @dataclass(frozen=True)
@@ -53,13 +47,11 @@ class GridGeometry:
     Fields ending in ``_faces`` list index pairs of adjacent cells;
     ``_face_coeffs`` hold the matching transmissibilities (face measure over
     center distance). ``unit_coord`` arrays map cell centers to [0, 1] along
-    the natural tangential coordinate and exist for initial-data synthesis.
+    the natural tangential coordinate; the initial profiles and the state
+    CSV read them.
     """
 
-    kind: GridKind
-    omega_centers: np.ndarray        # (n_omega, dim)
     omega_weights: np.ndarray        # (n_omega,) cell volumes
-    gamma_centers: np.ndarray        # (n_gamma, dim)
     gamma_weights: np.ndarray        # (n_gamma,) patch measures
     trace_cells: np.ndarray          # (n_gamma,) adjacent bulk cell index
     trace_factors: np.ndarray        # (n_gamma,) gamma weight / cell volume
@@ -71,8 +63,8 @@ class GridGeometry:
     gamma_face_coeffs: np.ndarray    # (k,)
     omega_measure: float
     gamma_measure: float
-    omega_unit_coord: np.ndarray = field(repr=False, default=None)
-    gamma_unit_coord: np.ndarray = field(repr=False, default=None)
+    omega_unit_coord: np.ndarray = field(repr=False)
+    gamma_unit_coord: np.ndarray = field(repr=False)
 
     @property
     def n_omega(self) -> int:
@@ -119,9 +111,8 @@ def _cell_count(*counts: int) -> int:
     return n
 
 
-def _geometry(kind: GridKind, omega_centers, omega_weights, omega_faces,
-              omega_face_coeffs, gamma_centers, gamma_weights, trace_cells,
-              gamma_faces, gamma_face_coeffs, omega_unit_coord,
+def _geometry(omega_weights, omega_faces, omega_face_coeffs, gamma_weights,
+              trace_cells, gamma_faces, gamma_face_coeffs, omega_unit_coord,
               gamma_unit_coord) -> GridGeometry:
     """The GridGeometry of one primary mesh. Derives the trace factors, both
     Laplacians and both measures, and rejects a mesh whose sizes left the
@@ -141,8 +132,7 @@ def _geometry(kind: GridKind, omega_centers, omega_weights, omega_faces,
                              f"geometry's sizes are outside the float range")
     # positional in field order: every argument is named after its field
     return GridGeometry(
-        kind, omega_centers, omega_weights, gamma_centers, gamma_weights,
-        trace_cells, trace_factors,
+        omega_weights, gamma_weights, trace_cells, trace_factors,
         _laplacian_from_faces(len(omega_weights), omega_weights, omega_faces,
                               omega_face_coeffs),
         _laplacian_from_faces(len(gamma_weights), gamma_weights, gamma_faces,
@@ -167,14 +157,11 @@ def build_interval(n_cells: int, length: float) -> GridGeometry:
         raise ValueError(f"length must be positive, got {length}")
     _cell_count(n_cells)
     h = length / n_cells
-    centers = (np.arange(n_cells) + 0.5) * h
-    weights = np.full(n_cells, h)
     return _geometry(
-        GridKind.INTERVAL_1D, centers[:, None], weights,
-        _chain_faces(n_cells, 1), np.full(n_cells - 1, 1.0) / h,
-        np.array([[0.0], [length]]), np.array([1.0, 1.0]),
+        np.full(n_cells, h), _chain_faces(n_cells, 1),
+        np.full(n_cells - 1, 1.0) / h, np.array([1.0, 1.0]),
         np.array([0, n_cells - 1]), np.zeros((0, 2), dtype=int), np.zeros(0),
-        centers / length, np.array([0.0, 1.0]))
+        (np.arange(n_cells) + 0.5) * h / length, np.array([0.0, 1.0]))
 
 
 @np.errstate(all="ignore")
@@ -196,25 +183,17 @@ def build_periodic_strip(nx: int, ny: int, width: float,
     dx = width / nx
     dy = height / ny
 
-    ix = np.tile(np.arange(nx), ny)
-    iy = np.repeat(np.arange(ny), nx)
-    centers = np.column_stack([(ix + 0.5) * dx, (iy + 0.5) * dy])
+    x = (np.tile(np.arange(nx), ny) + 0.5) * dx
     # x faces: one periodic ring per row; y faces: zero flux at the outer edges
     faces = np.vstack([_ring_faces(ny, nx), _chain_faces(n, nx)])
     coeffs = np.concatenate([np.full(n, dy) / dx, np.full(n - nx, dx) / dy])
 
-    gx = (np.arange(nx) + 0.5) * dx
-    gamma_centers = np.vstack([
-        np.column_stack([gx, np.zeros(nx)]),
-        np.column_stack([gx, np.full(nx, height)]),
-    ])
     gamma_weights = np.full(2 * nx, dx)
     trace_cells = np.concatenate([np.arange(nx), (ny - 1) * nx + np.arange(nx)])
+    # both rings lie at the x of the first two rows' cells
     return _geometry(
-        GridKind.PERIODIC_STRIP_2D, centers, np.full(n, dx * dy), faces, coeffs,
-        gamma_centers, gamma_weights, trace_cells,
-        _ring_faces(2, nx), 1.0 / gamma_weights,
-        centers[:, 0] / width, gamma_centers[:, 0] / width)
+        np.full(n, dx * dy), faces, coeffs, gamma_weights, trace_cells,
+        _ring_faces(2, nx), 1.0 / gamma_weights, x / width, x[:2 * nx] / width)
 
 
 @np.errstate(all="ignore")
@@ -236,10 +215,8 @@ def build_polar_disk(nr: int, ntheta: int, radius: float) -> GridGeometry:
     dth = 2.0 * np.pi / ntheta
 
     ir = np.repeat(np.arange(nr), ntheta)
-    ith = np.tile(np.arange(ntheta), nr)
     rc = (ir + 0.5) * dr
-    thc = (ith + 0.5) * dth
-    centers = np.column_stack([rc * np.cos(thc), rc * np.sin(thc)])
+    thc = (np.tile(np.arange(ntheta), nr) + 0.5) * dth
     # exact sector volume: 0.5*(r_out^2 - r_in^2)*dth = rc*dr*dth
     weights = rc * dr * dth
     # radial faces at r_face = (ir + 1)*dr, then one azimuthal ring per radius
@@ -247,14 +224,13 @@ def build_polar_disk(nr: int, ntheta: int, radius: float) -> GridGeometry:
     r_face = (ir[:n - ntheta] + 1) * dr
     coeffs = np.concatenate([r_face * dth / dr, dr / (rc * dth)])
 
-    gth = (np.arange(ntheta) + 0.5) * dth
-    gamma_centers = np.column_stack([radius * np.cos(gth), radius * np.sin(gth)])
     gamma_weights = np.full(ntheta, radius * dth)
+    # the outer ring's patches sit at the angles of every ring's cells
     return _geometry(
-        GridKind.POLAR_DISK_2D, centers, weights, faces, coeffs,
-        gamma_centers, gamma_weights, (nr - 1) * ntheta + np.arange(ntheta),
+        weights, faces, coeffs, gamma_weights,
+        (nr - 1) * ntheta + np.arange(ntheta),
         _ring_faces(1, ntheta), 1.0 / gamma_weights,
-        thc / (2.0 * np.pi), gth / (2.0 * np.pi))
+        thc / (2.0 * np.pi), thc[:ntheta] / (2.0 * np.pi))
 
 
 def trace(field_u: np.ndarray, geom: GridGeometry) -> np.ndarray:

@@ -127,29 +127,22 @@ class Equilibrium:
     mass: float
 
 
-def _check_nonnegative(name, value):
-    if np.any(np.asarray(value) < 0):
-        raise ValueError(f"{name} must be nonnegative")
+def _rate(params: ModelParams, u, v):
+    """The single-state reaction rate k_u u^a - k_v v^b."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    _require_nonnegative("reaction", u, v)
+    return params.k_u * u ** params.alpha - params.k_v * v ** params.beta
 
 
 def reaction_F(params: ModelParams, u, v):
     """Boundary flux density feeding the bulk: -alpha*(k_u u^a - k_v v^b)."""
-    _check_nonnegative("u", u)
-    _check_nonnegative("v", v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return -params.alpha * (params.k_u * u ** params.alpha
-                            - params.k_v * v ** params.beta)
+    return -params.alpha * _rate(params, u, v)
 
 
 def reaction_G(params: ModelParams, u, v):
     """Surface source: beta*(k_u u^a - k_v v^b) = -(beta/alpha)*F."""
-    _check_nonnegative("u", u)
-    _check_nonnegative("v", v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return params.beta * (params.k_u * u ** params.alpha
-                          - params.k_v * v ** params.beta)
+    return params.beta * _rate(params, u, v)
 
 
 def _power(x: float, exponent: float) -> float:

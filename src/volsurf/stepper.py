@@ -50,7 +50,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import linsolve
 from .errors import LinearSolverError, StepFailure
-from .grid import GridGeometry, GridKind
+from .grid import GridGeometry
 from .model import DERIVATIVE_FLOOR, ModelParams, State
 
 __all__ = [
@@ -87,8 +87,9 @@ class StepConfig:
 
 
 def _check_surface_diffusion(geom: GridGeometry, params: ModelParams):
-    # the interval boundary is two points; surface diffusion has no meaning there
-    if params.delta_v > 0 and geom.kind is GridKind.INTERVAL_1D:
+    # the interval boundary is two points, so its surface has no faces and
+    # surface diffusion has no meaning there
+    if params.delta_v > 0 and not len(geom.gamma_faces):
         raise ValueError(
             "delta_v > 0 is not meaningful on an interval geometry "
             "(point boundary has no surface Laplacian)")

@@ -70,7 +70,7 @@ def test_every_exported_name_resolves():
     assert set(volsurf.__all__) == {
         "__version__", "DegenerateInputError", "LinearSolverError",
         "MonotoneConvergenceError", "OracleFailure", "StepFailure",
-        "GridGeometry", "GridKind", "build_interval", "build_periodic_strip",
+        "GridGeometry", "build_interval", "build_periodic_strip",
         "build_polar_disk", "trace", "SolveMethod", "SolveStats",
         "assemble_shifted", "check_residual", "factor", "solve", "Equilibrium",
         "ModelParams", "State", "ckp_constant", "constant_upper_solution",
@@ -131,11 +131,13 @@ def test_amplitude_on_constant_profile_rejected(tmp_path):
     assert main(["simulate", path, "--out", str(tmp_path)]) == 2
 
 
-def test_surface_diffusion_on_interval_rejected(tmp_path):
+def test_surface_diffusion_on_interval_rejected(tmp_path, capsys):
     cfg = base_config()
     cfg["params"]["delta_v"] = 1.0
     path = write_config(tmp_path, cfg)
     assert main(["simulate", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not meaningful on an interval" in err[0]
 
 
 def test_nan_initial_value_rejected(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsurf.grid import (GridKind, build_interval, build_periodic_strip,
+from volsurf.grid import (build_interval, build_periodic_strip,
                           build_polar_disk, trace)
 
 
@@ -25,7 +25,8 @@ def geom(request):
 
 def test_interval_basic():
     g = build_interval(4, 1.0)
-    assert g.kind is GridKind.INTERVAL_1D
+    # the surface is two points with no faces between them
+    assert len(g.gamma_faces) == 0
     assert g.omega_measure == pytest.approx(1.0, abs=0)
     assert g.gamma_measure == 2.0
     assert np.allclose(g.omega_weights, 0.25)
@@ -46,7 +47,7 @@ def test_interval_validation():
 
 def test_strip_basic():
     g = build_periodic_strip(4, 2, 1.0, 1.0)
-    assert g.kind is GridKind.PERIODIC_STRIP_2D
+    assert len(g.gamma_faces) == 8  # two periodic rings of nx faces
     assert g.omega_measure == pytest.approx(1.0)
     assert g.gamma_measure == pytest.approx(2.0)
     assert g.n_gamma == 8
@@ -64,7 +65,7 @@ def test_strip_validation():
 
 def test_disk_exact_measures():
     g = build_polar_disk(4, 8, 2.0)
-    assert g.kind is GridKind.POLAR_DISK_2D
+    assert len(g.gamma_faces) == 8  # one periodic ring of ntheta faces
     # midpoint-radius sector volumes telescope to the exact disk area
     assert g.omega_measure == pytest.approx(np.pi * 4.0, rel=1e-14)
     assert g.gamma_measure == pytest.approx(4.0 * np.pi, rel=1e-14)
@@ -134,10 +135,34 @@ def test_interval_zero_eigenvalue_constant_mode():
 
 def test_interval_quadratic_second_derivative():
     g = build_interval(20, 1.0)
-    x = g.omega_centers
+    x = g.omega_unit_coord  # the cell centres themselves at length 1
     second = g.bulk_laplacian @ (x * x)
     # exact for a quadratic away from the zero-flux closures at the ends
     assert np.allclose(second[1:-1], 2.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (7, 4), (16, 9)])
+def test_unit_coords_follow_closed_forms(n1, n2):
+    # each formula in the builder's order of operations, so equal bitwise
+    length, width, radius = 1.3, 1.7, 0.9
+    g = build_interval(n1, length)
+    h = length / n1
+    assert np.array_equal(g.omega_unit_coord,
+                          ((np.arange(n1) + 0.5) * h) / length)
+    assert np.array_equal(g.gamma_unit_coord, [0.0, 1.0])
+
+    nx, ny = n1 + 1, n2
+    g = build_periodic_strip(nx, ny, width, 0.6)
+    x = (np.arange(nx) + 0.5) * (width / nx)
+    assert np.array_equal(g.omega_unit_coord, np.tile(x, ny) / width)
+    assert np.array_equal(g.gamma_unit_coord, np.tile(x, 2) / width)
+
+    nr, ntheta = n1, n2
+    g = build_polar_disk(nr, ntheta, radius)
+    theta = (np.arange(ntheta) + 0.5) * (2.0 * np.pi / ntheta)
+    assert np.array_equal(g.omega_unit_coord,
+                          np.tile(theta, nr) / (2.0 * np.pi))
+    assert np.array_equal(g.gamma_unit_coord, theta / (2.0 * np.pi))
 
 
 def test_strip_surface_cos_mode_and_refinement():

@@ -12,6 +12,7 @@ from volsurf.errors import LinearSolverError, StepFailure
 from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
 from volsurf.model import (ModelParams, State, entropy, equilibrium_state,
                            mass, solve_equilibrium)
+from volsurf.monotone import run_monotone
 from volsurf.stepper import (StepConfig, _CoupledStepper, _march, integrate,
                              linear_bulk_step, linear_surface_step,
                              semi_discrete_rhs)
@@ -151,6 +152,31 @@ def test_surface_step_rejects_interval_diffusion():
     p = ModelParams(alpha=1, beta=1, delta_u=1.0, delta_v=0.5)
     with pytest.raises(ValueError):
         linear_surface_step(np.ones(g.n_gamma), 0.0, 0.0, g, p, StepConfig(dt=0.1))
+
+
+SURFACE_DIFFUSION_CALLS = {
+    "integrate": lambda s0, g, p, cfg: integrate(s0, g, p, cfg, 0.1),
+    "run_monotone": lambda s0, g, p, cfg: run_monotone(s0, g, p, cfg, 0.1),
+    "linear_surface_step":
+        lambda s0, g, p, cfg: linear_surface_step(s0.v, 0.5, 0.2, g, p, cfg),
+}
+
+
+@pytest.mark.parametrize("call", SURFACE_DIFFUSION_CALLS.values(),
+                         ids=SURFACE_DIFFUSION_CALLS)
+def test_surface_diffusion_refused_on_interval_only(call):
+    p = ModelParams(alpha=1, beta=1, delta_u=1.0, delta_v=0.5)
+    cfg = StepConfig(dt=0.05)
+
+    def cosine_state(g):
+        return State(1.0 + 0.3 * np.cos(2.0 * np.pi * g.omega_unit_coord),
+                     0.5 + 0.2 * np.cos(2.0 * np.pi * g.gamma_unit_coord))
+
+    for g in (build_periodic_strip(5, 3, 1.0, 1.0), build_polar_disk(3, 6, 1.0)):
+        call(cosine_state(g), g, p, cfg)
+    g = build_interval(5, 1.0)
+    with pytest.raises(ValueError, match="not meaningful on an interval"):
+        call(cosine_state(g), g, p, cfg)
 
 
 def test_linear_steps_monotone_in_data_and_source():
