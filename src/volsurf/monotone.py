@@ -237,23 +237,19 @@ def check_sandwich(report: IterationReport) -> SandwichVerdict:
     each sweep completed.
 
     Passes when no margin is below -ORDERING_SLACK * max(1, A, B). Returns
-    the worst margin together with the ordering and sweep where it occurred.
+    the worst margin together with the ordering and sweep where it occurred,
+    the first in sweep order, then in ORDERINGS order, on a tie. The margins
+    are finite: every solve of the iteration passed its residual check.
     """
     if not report.margins:
         raise ValueError("report holds no sweep")
     slack = ORDERING_SLACK * max(1.0, *report.bounds)
-    worst = np.inf
-    worst_ord = "none"
-    worst_k = 0
-    for k, triple in enumerate(report.margins, start=1):
-        for name, margin in zip(ORDERINGS, triple):
-            if margin < worst:
-                worst = margin
-                worst_ord = name
-                worst_k = k
+    margins = np.array(report.margins)
+    k, i = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[k, i])
     return SandwichVerdict(passed=bool(worst >= -slack),
                            worst_violation=worst,
-                           ordering=worst_ord, k=worst_k)
+                           ordering=ORDERINGS[i], k=int(k) + 1)
 
 
 def comparison_pairs(pairs, geom: GridGeometry, params: ModelParams,

@@ -11,9 +11,10 @@ implicit matrix is diag(M/dt + shift) - D, where D = blockdiag(delta_u W L,
 delta_v W_Gamma L_Gamma) is assembled once per stepper by
 _weighted_diffusion. Both steppers map z-stacks to z-stacks, a leading axis
 holding trajectories. The linear substeps (frozen sources) have a fixed,
-block-diagonal matrix, so _LinearStepper factors it once and a step is one
-solve; linear_bulk_step and linear_surface_step are independent one-shot
-references. The fully coupled step runs Newton with exact power-law
+block-diagonal matrix whose two shifts are numbers, so _LinearStepper
+factors it once and a step is one solve; linear_bulk_step and
+linear_surface_step are independent one-shot references, which also take
+per-patch arrays. The fully coupled step runs Newton with exact power-law
 partials: K = diag(M/dt) - D is factored once per stepper, and the
 rank-n_Gamma reaction part of the Jacobian goes through a dense capacitance
 solve (Woodbury; Hager, SIAM Review 1989). The iterations run on the
@@ -154,8 +155,9 @@ def _weighted_diffusion(geom: GridGeometry, params: ModelParams) -> sp.csr_matri
 
 class _LinearStepper:
     """Backward-Euler steps of the linear bulk and surface problems on the
-    stacked unknowns z = (u, v), with the Robin coefficient, the absorption
-    and dt fixed.
+    stacked unknowns z = (u, v), with dt and two nonnegative numbers fixed:
+    the Robin coefficient on every trace cell and the absorption on every
+    patch (run_monotone's alpha*L_u and beta*L_v).
 
     The two problems are decoupled, so one block matrix
     diag(M/dt + shift) - D holds both; it is assembled and factored once and
@@ -165,18 +167,15 @@ class _LinearStepper:
     """
 
     def __init__(self, geom: GridGeometry, params: ModelParams, cfg: StepConfig,
-                 robin_coeff, absorption):
+                 robin_coeff: float, absorption: float):
         _check_surface_diffusion(geom, params)
         self.geom = geom
         self.dt = cfg.dt
         self.tol = cfg.linear_tol
-        rho = _as_gamma_array(robin_coeff, geom, "robin_coeff", nonnegative=True)
-        a_coeff = _as_gamma_array(absorption, geom, "absorption",
-                                  nonnegative=True)
         wg = geom.gamma_weights
         diag_shift = np.concatenate([geom.omega_weights / cfg.dt,
-                                     wg * (1.0 / cfg.dt + a_coeff)])
-        np.add.at(diag_shift, geom.trace_cells, wg * rho)
+                                     wg * (1.0 / cfg.dt + absorption)])
+        np.add.at(diag_shift, geom.trace_cells, wg * robin_coeff)
         self.a = linsolve.assemble_shifted(_weighted_diffusion(geom, params),
                                            diag_shift, 1.0)
         self.lu = linsolve.factor(self.a)
@@ -320,15 +319,16 @@ class _CoupledStepper:
     second sparse solve forms z = base - K^{-1}(A p); it must meet the full
     residual test, else the next pass starts from it.
 
-    Each row factors its capacitance system I + B^T ka in place in its own
-    buffer (LAPACK dgetrf) and keeps the LU and pivots of the last one. The
-    first iteration of the row's next step solves with them (dgetrs)
-    instead of factoring: they were taken at the previous step's
-    second-to-last iterate, one Newton increment away, so that update is
-    nearly exact Newton and the iteration count does not grow. Every later
-    iteration factors afresh; a chord iteration over a whole pass ran out
-    of iterations. A row without factors (its first step, or one on which
-    it has not iterated) factors.
+    Each factorization of a row builds its capacitance system I + B^T ka in
+    a fresh array, which LAPACK (dgetrf) factors in place, so the LU and
+    pivots the row keeps, those of its last system, are its own. The first
+    iteration of the row's next step solves with them (dgetrs) instead of
+    factoring: they were taken at the previous step's second-to-last
+    iterate, one Newton increment away, so that update is nearly exact
+    Newton and the iteration count does not grow. Every later iteration
+    factors afresh; a chord iteration over a whole pass ran out of
+    iterations. A row without factors (its first step, or one on which it
+    has not iterated) factors.
 
     The rows iterate in lockstep on the whole stack. What the Newton
     formulas read of the rows (rate constants, exponents, scales, reaction
@@ -413,9 +413,7 @@ class _CoupledStepper:
         self.index = (self.interface + self.mass.size
                       * np.arange(len(params))[:, None]).ravel()
         # per row, the LU factors and pivots of the last capacitance system
-        # it factored (None before its first), in its own n_Gamma x n_Gamma
-        # buffer
-        self._caps = np.empty((len(params), n_g, n_g))
+        # it factored (None before its first)
         self._cap_lu = [None] * len(params)
 
     def _spread(self, x):
@@ -454,8 +452,8 @@ class _CoupledStepper:
         carry: on the first iteration of a pass g = 0 and dg is the first
         solve's change, after it dg = None.
 
-        Each row assembles its capacitance system I + B^T ka in its own
-        buffer and factors it in place through LAPACK, keeping the factors.
+        Each row assembles its capacitance system I + B^T ka in a fresh
+        array and factors it in place through LAPACK, keeping the factors.
         With reuse, a row that holds factors solves with them instead."""
         n_g = self.geom.n_gamma
         dpu, dpv = self._partials(zg)
@@ -466,14 +464,12 @@ class _CoupledStepper:
         dp = np.zeros_like(g)
         for row in rows.tolist():
             if not (reuse and self._cap_lu[row]):
-                # the buffer holds the system in C order, so its .T is the
+                # the system is built in C order, so its .T is the
                 # Fortran-ordered transpose: LAPACK factors that in place
                 # and solves with trans=1
-                cap = self._caps[row]
-                np.multiply(su[row, :, None], self.ka_interface[:n_g], out=cap)
+                cap = su[row, :, None] * self.ka_interface[:n_g]
                 cap -= sv[row, :, None] * self.ka_interface[n_g:]
                 cap.reshape(-1)[::n_g + 1] += 1.0
-                self._cap_lu[row] = None
                 lu, piv, info = dgetrf(cap.T, overwrite_a=1)
                 if info > 0:
                     raise LinearSolverError(

@@ -225,6 +225,10 @@ def test_whole_float_for_integer_key_accepted(tmp_path):
     ("initial.u0", True),
     ("t_end", True),
     ("seed", 1.5),
+    ("params", 5),
+    ("geometry", []),
+    ("initial", "x"),
+    ("step", None),
 ])
 def test_mistyped_config_value_rejected(tmp_path, capsys, dotted, value):
     cfg = base_config(seed=3)
@@ -237,6 +241,16 @@ def test_mistyped_config_value_rejected(tmp_path, capsys, dotted, value):
     assert main(["equilibrium", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and last in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ([base_config()], "top level must be a JSON object"),
+    ({"config": 5}, "manifest 'config' must be an object"),
+], ids=["top-level", "manifest-config"])
+def test_config_file_not_an_object_rejected(tmp_path, capsys, data, message):
+    path = write_config(tmp_path, data)
+    assert main(["equilibrium", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("initial, message", [
@@ -488,6 +502,22 @@ def test_simulate_with_overflowing_reaction_exits_3(tmp_path, capsys):
     assert not (tmp_path / "series.csv").exists()
 
 
+def test_simulate_newton_divergence_exits_3(tmp_path, capsys):
+    # Newton's limit, not the problem's (see the stepper test of this
+    # config): once Newton takes every backward-Euler step that exists,
+    # this config runs and the test moves to one that still diverges
+    cfg = base_config(
+        geometry={"kind": "strip", "nx": 16, "ny": 8, "width": 1.0,
+                  "height": 1.0},
+        params={"alpha": 6.0, "beta": 1.0, "delta_u": 1e-3},
+        initial={"kind": "constant", "u0": 0.0, "v0": 10.0},
+        step={"dt": 1.0}, t_end=1.0)
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: Newton diverged at t=0 (reduce dt)\n")
+
+
 @pytest.mark.parametrize("delta_u", [1.0, 1e-3])
 def test_simulate_takes_a_linear_step_whose_pass_stalls_at_round_off(
         tmp_path, delta_u):
@@ -684,6 +714,18 @@ def test_verify_suites_pass_on_small_interval_run(tmp_path, suite):
                  "--out", str(tmp_path)]) == 0
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["passed"] is True
+
+
+def test_verify_seed_option_overrides_the_config_seed(tmp_path):
+    def verdict(name, cfg, *extra):
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", path, "--suite", "comparison",
+                     "--out", str(tmp_path / name), *extra]) == 0
+        return (tmp_path / name / "verdict.json").read_bytes()
+
+    overridden = verdict("option", base_config(), "--seed", "3")
+    assert overridden == verdict("config", base_config(seed=3))
+    assert overridden != verdict("zero", base_config(seed=0))
 
 
 @pytest.mark.parametrize("suite", ["entropy", "ckp"])
@@ -1279,12 +1321,19 @@ def test_sweep_overflow_fails_with_one_error_line(tmp_path, capsys, jobs):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_rejects_unknown_grid_key(tmp_path, capsys):
+@pytest.mark.parametrize("grid, message", [
+    ({"params.gamma": [1.0]}, "gamma"),
+    ({"nosuch.alpha": [1.0]}, "'nosuch.alpha' not found in template"),
+    ({"params.alpha.x": [1.0]}, "'params.alpha.x' not found in template"),
+    ({"params.alpha": 1.0}, "'params.alpha' must be a non-empty list"),
+], ids=["unknown-leaf", "no-section", "below-a-number", "not-a-list"])
+def test_sweep_rejects_unknown_grid_key(tmp_path, capsys, grid, message):
     spec = sweep_spec()
-    spec["grid"] = {"params.gamma": [1.0]}
+    spec["grid"] = grid
     path = write_config(tmp_path, spec, name="sweep.json")
     assert main(["sweep", path, "--out", str(tmp_path)]) == 2
-    assert "gamma" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 def test_sweep_rejects_nan_grid_value(tmp_path, capsys):
@@ -1293,6 +1342,23 @@ def test_sweep_rejects_nan_grid_value(tmp_path, capsys):
     path = write_config(tmp_path, spec, name="sweep.json")
     assert main(["sweep", path, "--out", str(tmp_path)]) == 2
     assert "NaN" in capsys.readouterr().err
+
+
+def test_sweep_of_runs_at_equilibrium_writes_no_fit(tmp_path):
+    # constant data at equilibrium: no record's relative entropy rises
+    # above the cancellation floor, so there is no rate to fit and the fit
+    # columns read nan
+    template = base_config(step={"dt": 0.05}, t_end=0.5)
+    template["geometry"]["n_cells"] = 8
+    spec = {"template": template, "grid": {"params.delta_u": [1.0, 2.0]}}
+    path = write_config(tmp_path, spec, name="sweep.json")
+    for jobs in ("1", "2"):
+        assert main(["sweep", path, "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    serial = (tmp_path / "1" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "2" / "sweep.csv").read_bytes()
+    assert serial.decode().splitlines()[1:] == ["0,1.0,nan,nan,nan,0",
+                                                "1,2.0,nan,nan,nan,0"]
 
 
 def test_sweep_rejects_empty_grid(tmp_path):

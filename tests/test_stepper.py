@@ -321,6 +321,24 @@ def test_newton_jacobian_matches_finite_differences():
     assert np.max(np.abs(action - fd)) <= 1e-7 * np.max(np.abs(action))
 
 
+@pytest.mark.parametrize("geom", [build_periodic_strip(4, 3, 2.0, 1.0),
+                                  build_polar_disk(3, 6, 1.0)],
+                         ids=["strip", "disk"])
+def test_residual_is_the_oracle_rhs_times_the_masses(geom):
+    # the oracle's right-hand side and Newton's residual are written apart;
+    # with surface diffusion both carry every term, so M (du, dv) = -F(z)
+    # at z_old = z checks the delta_v term of semi_discrete_rhs too
+    p = ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
+                    k_u=1.3, k_v=0.8)
+    stepper = one_row(geom, p, StepConfig(dt=0.05))
+    z = np.random.default_rng(2).uniform(0.2, 2.0,
+                                         geom.n_omega + geom.n_gamma)
+    du, dv = semi_discrete_rhs(z[:geom.n_omega], z[geom.n_omega:], geom, p)
+    res = stepper._residual(z[None], z[None])[0]
+    diff = stepper.mass * np.concatenate([du, dv]) + res
+    assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(res))
+
+
 @pytest.mark.parametrize("geom, params", [
     (build_periodic_strip(16, 8, 2.0, 1.0),
      [ModelParams(alpha=2.0, beta=3.0, delta_u=0.7, delta_v=0.4,
@@ -633,8 +651,12 @@ def test_interface_rows_are_stored_once_whatever_the_orders():
     limit = (g.n_omega + g.n_gamma) * g.n_gamma
     sizes = {name: value.size for name, value in vars(stepper).items()
              if isinstance(value, np.ndarray)}
-    assert {"ka_interface", "_caps"} <= sizes.keys()
+    assert "ka_interface" in sizes
     assert max(sizes.values()) < limit, sizes
+    # every row holds a capacitance LU, and each is as small
+    lu_sizes = [lu.size for lu, _ in stepper._cap_lu]
+    assert len(lu_sizes) == len(params)
+    assert max(lu_sizes) < limit, lu_sizes
     alone = one_row(g, params[3], cfg).ka_interface
     assert np.array_equal(stepper.ka_interface, alone)
 
@@ -679,6 +701,26 @@ def test_coupled_step_newton_exhaustion_raises():
     with pytest.raises(StepFailure) as exc_info:
         integrate(s, g, p, cfg, s.time + cfg.dt)
     assert len(exc_info.value.residual_history) >= 1
+
+
+def test_coupled_step_divergence_raises_and_names_its_row():
+    # the backward-Euler step exists for any dt (its Jacobian is an
+    # M-matrix), so this divergence is Newton's, not the problem's: once
+    # Newton takes every step that exists (ROADMAP, "Newton takes every
+    # backward-Euler step that exists") this config runs, and the test moves
+    # to a config that still diverges
+    g = build_periodic_strip(16, 8, 1.0, 1.0)
+    p = ModelParams(alpha=6.0, beta=1.0, delta_u=1e-3)
+    s = State(np.zeros(g.n_omega), np.full(g.n_gamma, 10.0))
+    with pytest.raises(StepFailure) as alone:
+        integrate(s, g, p, StepConfig(dt=1.0), 1.0)
+    assert str(alone.value) == "Newton diverged at t=0 (reduce dt)"
+    assert len(alone.value.residual_history) >= 2
+    assert integrate(s, g, p, StepConfig(dt=0.01), 0.01).time == 0.01
+    linear = dataclasses.replace(p, alpha=1.0)
+    with pytest.raises(StepFailure) as batch:
+        list(_march([s, s], g, [linear, p], StepConfig(dt=1.0), 1.0))
+    assert batch.value.row == 1 and str(batch.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("dt", [1e-300, 1e-20, 1e-9, 1e-6])
