@@ -200,9 +200,10 @@ def check_entropy_dissipation_identity(series: TraceSeries,
 def fit_rate(series: TraceSeries, skip_fraction: float = 0.3) -> RateFit:
     """Fit log E_rel against t on the tail window.
 
-    Skips the initial skip_fraction of records, drops records whose relative
-    entropy is at the cancellation floor (<= 10 eps |E_eq|), and needs at
-    least two surviving records.
+    Skips the initial skip_fraction of records and fits the leading run of
+    the rest whose relative entropy the records resolve: it stops at the
+    first record at or below 1000 eps |E_eq|, where E - E_eq is round-off of
+    the entropies and may rise again as noise. Needs at least two records.
     """
     if not 0.0 <= skip_fraction < 1.0:
         raise ValueError(f"skip_fraction must be in [0, 1), got {skip_fraction}")
@@ -211,8 +212,8 @@ def fit_rate(series: TraceSeries, skip_fraction: float = 0.3) -> RateFit:
     t = series.times[start:]
     e_rel = series.entropy_rel[start:]
     d = series.dissipation[start:]
-    floor = 10.0 * np.finfo(float).eps * abs(series.entropy_eq)
-    keep = e_rel > floor
+    floor = 1000.0 * np.finfo(float).eps * abs(series.entropy_eq)
+    keep = np.logical_and.accumulate(e_rel > floor)
     if np.count_nonzero(keep) < 2:
         raise ValueError(
             "fewer than two records with resolvable relative entropy in window")

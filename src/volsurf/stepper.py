@@ -23,11 +23,13 @@ interface values only (the trace cells and the surface patches), reading the
 two sparse solves whatever its iteration count. K is block-diagonal, so one
 array of those rows serves every (alpha, beta), and the stepper stores
 O(n + n_Gamma^2) numbers plus one n_Gamma x n_Gamma LU per row; see
-_CoupledStepper. The sparse factorizations go through linsolve.factor; the
-dense capacitance systems are factored and solved per row through LAPACK
-(dgetrf, dgetrs), and the first Newton iteration of a row's step solves with
-the last LU the row factored, as stiff solvers reuse their Jacobians (Hairer
-and Wanner, Solving ODEs II, IV.8).
+_CoupledStepper. The sparse factorizations go through linsolve.factor with
+the geometry's rings, so on the periodic strip, where every implicit matrix
+is a Kronecker sum over them, a solve is a fast diagonalization and
+elsewhere a SuperLU solve. The dense capacitance systems are factored and
+solved per row through LAPACK (dgetrf, dgetrs), and the first Newton
+iteration of a row's step solves with the last LU the row factored, as stiff
+solvers reuse their Jacobians (Hairer and Wanner, Solving ODEs II, IV.8).
 
 Each row of a coupled stepper's z-stack has its own ModelParams. K does not
 depend on alpha, beta, k_u or k_v, so rows that share delta_u and delta_v
@@ -131,8 +133,10 @@ def _step_grid(t0: float, span: float, dt: float):
     return h, t0 + h * np.arange(n_steps + 1)
 
 
-# ulps of a row's largest |p| within which a Newton update of p is round-off
+# ulps of a row's largest |p| within which a Newton update of p is round-off,
+# and within which an update that did not lower the residual has stalled
 _ROUNDOFF_ULPS = 1024
+_STALL_ULPS = 2 ** 20
 
 # columns per chunk of the K^{-1}A solve at construction: enough for SuperLU's
 # multi-column solve to reach its per-column speed, few enough that the
@@ -161,7 +165,7 @@ class _LinearStepper:
 
     The two problems are decoupled, so one block matrix
     diag(M/dt + shift) - D holds both; it is assembled and factored once and
-    a step is a triangular solve. A z-stack may carry leading axes of
+    a step is one solve with that factor. A z-stack may carry leading axes of
     independent trajectories, which advance together as one multi-column
     right-hand side.
     """
@@ -178,7 +182,7 @@ class _LinearStepper:
         np.add.at(diag_shift, geom.trace_cells, wg * robin_coeff)
         self.a = linsolve.assemble_shifted(_weighted_diffusion(geom, params),
                                            diag_shift, 1.0)
-        self.lu = linsolve.factor(self.a)
+        self.lu = linsolve.factor(self.a, geom.bulk_rings)
 
     def step(self, z_old, boundary_source, surface_source):
         """The z-stack one step on, of the shape (..., n_Omega + n_Gamma) of
@@ -315,9 +319,12 @@ class _CoupledStepper:
     numbers plus one n_Gamma x n_Gamma LU per row. The Woodbury form of
     J^{-1} (Hager, SIAM Review 1989) then updates p by one dense
     n_Gamma x n_Gamma solve and no sparse one. Once the interface residual
-    meets the tolerance or an update of p is round-off (_ROUNDOFF_ULPS), a
+    meets the tolerance, or an update of p is round-off (_ROUNDOFF_ULPS), or
+    an update near round-off (_STALL_ULPS) did not lower the residual, a
     second sparse solve forms z = base - K^{-1}(A p); it must meet the full
-    residual test, else the next pass starts from it.
+    residual test, else the next pass starts from it. Rebasing costs two
+    sparse solves and removes the cancellation base_g - ka p, whose rounding
+    a pass that has stalled cannot get below.
 
     Each factorization of a row builds its capacitance system I + B^T ka in
     a fresh array, which LAPACK (dgetrf) factors in place, so the LU and
@@ -366,7 +373,8 @@ class _CoupledStepper:
         n_u, n_g = geom.n_omega, geom.n_gamma
         self.mass = np.concatenate([geom.omega_weights, geom.gamma_weights])
         self.diffusion = _weighted_diffusion(geom, first)
-        self.lu = linsolve.factor(sp.diags(self.mass / cfg.dt) - self.diffusion)
+        self.lu = linsolve.factor(
+            sp.diags(self.mass / cfg.dt) - self.diffusion, geom.bulk_rings)
         # A's two entries per column: the trace cell of each patch, then the
         # patch itself
         self.interface = np.concatenate([geom.trace_cells, n_u + np.arange(n_g)])
@@ -524,6 +532,7 @@ class _CoupledStepper:
             base_g = base.take(iface, axis=1)
             p, g, dg = np.zeros_like(r0), np.zeros_like(r0), y.take(iface, axis=1)
             active = going.copy()
+            last = np.full(len(z), np.inf)
             for k in itertools.count():
                 # only an active row can pass the cap: the first of those
                 # with the most iterations fails
@@ -539,17 +548,22 @@ class _CoupledStepper:
                 p_new = p + self._interface_update(
                     zg, g, dg, np.flatnonzero(active), first_pass and k == 0)
                 dg = None
-                # a row's pass is done once its update is round-off (its
-                # residual has stalled) or its residual meets the target
-                moved = (np.abs(p_new - p).max(axis=1) > _ROUNDOFF_ULPS
-                         * math.ulp(1.0) * np.abs(p_new).max(axis=1))
+                # a row's pass is done once its update is round-off, or is
+                # near round-off and its residual did not fall (the noise of
+                # base_g - ka p can keep such updates above round-off), or
+                # its residual meets the target
+                change = np.abs(p_new - p).max(axis=1)
+                ulp = math.ulp(1.0) * np.abs(p_new).max(axis=1)
+                moved = change > _ROUNDOFF_ULPS * ulp
+                near = change <= _STALL_ULPS * ulp
                 p = p_new
                 zg = base_g - self.scale * np.matmul(
                     self.ka_interface, p[..., None])[..., 0]
                 g = self._rates(zg) - r0 - p
                 norms = _norms(self._spread(g))
                 tracked(moved, norms)
-                active = moved & (norms > target)
+                active = moved & (norms > target) & ~(near & (norms >= last))
+                last = norms
                 if not active.any():
                     break
             first_pass = False

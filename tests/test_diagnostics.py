@@ -317,6 +317,20 @@ def test_fit_rate_recovers_synthetic_exponential():
     assert fit.window[1] <= t[-1]
 
 
+def test_fit_rate_stops_at_the_first_unresolved_record():
+    # exp(-20 t) crosses 1000 eps |E_eq| (6.7e-13) between t = 1.4 and 1.5;
+    # the records after t = 1.5 are round-off noise above 10 eps |E_eq|,
+    # some of it above 1000 eps |E_eq| too, which must not enter the fit
+    t = np.linspace(0.0, 3.0, 31)
+    e_rel = np.exp(-20.0 * t)
+    e_rel[t > 1.55] = np.resize([2e-12, 5e-14, 1e-12], np.sum(t > 1.55))
+    fit = fit_rate(synthetic_series(t, e_rel, 20.0 * e_rel))
+    assert fit.window == (pytest.approx(0.9), pytest.approx(1.4))
+    assert fit.c0_emp == pytest.approx(20.0, rel=1e-9)
+    assert fit.r_squared >= 1.0 - 1e-12
+    assert fit.eed_min == pytest.approx(20.0, rel=1e-12)
+
+
 def test_fit_rate_linear_case_run():
     series, _, _ = interval_run(t_end=4.0, dt=0.02, alpha=1.0, beta=1.0)
     fit = fit_rate(series)

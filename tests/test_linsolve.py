@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volsurf import linsolve
 from volsurf.errors import LinearSolverError
-from volsurf.grid import build_interval, build_periodic_strip
+from volsurf.grid import build_interval, build_periodic_strip, build_polar_disk
 from volsurf.linsolve import (SolveMethod, assemble_shifted, check_residual,
                               factor, solve)
+from volsurf.model import ModelParams
+from volsurf.stepper import StepConfig, _LinearStepper, _weighted_diffusion
 
 
 def test_assemble_zero_op_gives_diag():
@@ -192,3 +196,73 @@ def test_direct_residual_contract_random(seed):
     assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert stats.residual_norm == pytest.approx(
         np.linalg.norm(a @ x - rhs), rel=1e-12, abs=1e-15)
+
+
+# ------------------------------------------------- fast diagonalization
+
+
+def implicit_matrix(g, kind, delta_v, dt):
+    """Newton's K = diag(M/dt) - D, or the certified stepper's matrix with
+    its Robin and absorption shifts."""
+    p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=delta_v)
+    if kind == "certified":
+        return _LinearStepper(g, p, StepConfig(dt=dt), 2.0, 1.5).a
+    mass = np.concatenate([g.omega_weights, g.gamma_weights])
+    return sp.csr_matrix(sp.diags(mass / dt) - _weighted_diffusion(g, p))
+
+
+@pytest.mark.parametrize("dt", [0.01, 1.0])
+@pytest.mark.parametrize("kind", ["newton", "certified"])
+@pytest.mark.parametrize("delta_v", [0.0, 0.4])
+@pytest.mark.parametrize("nx, ny", [(3, 2), (5, 3), (16, 8), (64, 32)])
+def test_fast_factor_solves_strip_matrices(nx, ny, delta_v, kind, dt):
+    g = build_periodic_strip(nx, ny, 2.0, 1.0)
+    a = implicit_matrix(g, kind, delta_v, dt)
+    lu = factor(a, g.bulk_rings)
+    assert isinstance(lu, linsolve._FastDiagonalization)
+    rhs = np.random.default_rng(nx).standard_normal((a.shape[0], 3))
+    x = lu.solve(rhs)
+    assert x.shape == rhs.shape
+    assert np.all(np.linalg.norm(a @ x - rhs, axis=0)
+                  <= 1e-13 * np.linalg.norm(rhs, axis=0))
+    reference = spla.splu(sp.csc_matrix(a)).solve(rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_fast_factor_columns_round_as_one_column_solves():
+    g = build_periodic_strip(16, 8, 2.0, 1.0)
+    lu = factor(implicit_matrix(g, "newton", 0.5, 0.02), g.bulk_rings)
+    rhs = np.random.default_rng(5).standard_normal((g.n_omega + g.n_gamma, 6))
+    x = lu.solve(rhs)
+    for j in range(rhs.shape[1]):
+        column = lu.solve(rhs[:, j].copy())
+        assert column.shape == (rhs.shape[0],)
+        assert np.array_equal(x[:, j], column)
+    # the transposed stack a stepper passes gives the same bits
+    assert np.array_equal(lu.solve(np.ascontiguousarray(rhs.T).T), x)
+
+
+def perturbed_strip_matrix():
+    # one diagonal entry one ulp off: no longer constant along its ring
+    g = build_periodic_strip(8, 4, 2.0, 1.0)
+    a = implicit_matrix(g, "newton", 0.5, 0.02).tolil()
+    a[5, 5] = np.nextafter(a[5, 5], np.inf)
+    return g, a.tocsr()
+
+
+@pytest.mark.parametrize("case", ["disk", "interval", "thin-strip",
+                                  "perturbed-strip"])
+def test_fast_factor_taken_only_for_kronecker_sums(case):
+    if case == "perturbed-strip":
+        g, a = perturbed_strip_matrix()
+    else:
+        g = {"disk": lambda: build_polar_disk(4, 8, 1.0),
+             "interval": lambda: build_interval(10, 1.0),
+             "thin-strip": lambda: build_periodic_strip(64, 2, 8.0, 0.25),
+             }[case]()
+        a = implicit_matrix(g, "newton", 0.0, 0.02)
+    lu = factor(a, g.bulk_rings)
+    assert isinstance(lu, spla.SuperLU)
+    rhs = np.random.default_rng(2).standard_normal(a.shape[0])
+    assert np.linalg.norm(a @ lu.solve(rhs)) == pytest.approx(
+        np.linalg.norm(rhs), rel=1e-12)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import volsurf.stepper as stepper_module
-from volsurf import monotone
+from volsurf import linsolve, monotone
 from volsurf.errors import MonotoneConvergenceError, StepFailure
-from volsurf.grid import build_interval, build_periodic_strip, trace
+from volsurf.grid import (build_interval, build_periodic_strip,
+                          build_polar_disk, trace)
 from volsurf.model import (ModelParams, State, equilibrium_state,
                            lipschitz_bounds, shifted_f, shifted_g,
                            solve_equilibrium)
@@ -335,25 +335,29 @@ def test_sweep_cap_bounds_the_sweeps_in_flight(monkeypatch):
     assert max(rows) == 2 * 2  # two sweeps of two sequences, never more
 
 
-# one block LU holds the bulk and the surface matrix, with or without
-# surface diffusion
-@pytest.mark.parametrize("delta_v, expected", [(0.1, 1), (0.0, 1)])
-def test_run_factors_once_whatever_the_sweep_count(monkeypatch, delta_v,
-                                                   expected):
-    calls = []
-    real_splu = spla.splu
+# one factor holds the bulk and the surface matrix, with or without surface
+# diffusion: the fast-diagonalization factor on the strip, SuperLU on the disk
+@pytest.mark.parametrize("delta_v", [0.1, 0.0])
+@pytest.mark.parametrize("geometry, fast", [
+    (lambda: build_periodic_strip(8, 4, 2.0, 1.0), True),
+    (lambda: build_polar_disk(4, 8, 1.0), False)], ids=["strip", "disk"])
+def test_run_factors_once_whatever_the_sweep_count(monkeypatch, geometry,
+                                                   fast, delta_v):
+    factors = []
+    real_factor = linsolve.factor
 
-    def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return real_splu(*args, **kwargs)
+    def counting_factor(*args, **kwargs):
+        factors.append(real_factor(*args, **kwargs))
+        return factors[-1]
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    g = build_periodic_strip(8, 4, 2.0, 1.0)
+    monkeypatch.setattr(linsolve, "factor", counting_factor)
+    g = geometry()
     p = ModelParams(alpha=2.0, beta=1.0, delta_u=1.0, delta_v=delta_v)
     _, report = run_monotone(_cosine_state(g, 1.0, 0.5, 0.39), g, p,
                              StepConfig(dt=0.02), 0.2)
     assert report.k_final > 5
-    assert len(calls) == expected
+    assert len(factors) == 1
+    assert isinstance(factors[0], linsolve._FastDiagonalization) == fast
 
 
 # ------------------------------------------------------- comparison principle

@@ -398,12 +398,40 @@ def test_capacitance_update_matches_sparse_solve(geom, params):
     assert np.array_equal(reused, dp)
 
 
-def test_iterating_step_does_two_sparse_solves(monkeypatch):
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "superlu"])
+def test_stalled_pass_rebases_whichever_factor(monkeypatch, fast):
+    # k_u dt = 1e4: the first pass reaches the rounding floor of
+    # base_g - ka p above its target, where updates of p stay a little above
+    # the 1024-ulp round-off test; a pass whose residual stops falling ends
+    # and the second pass converges, with either factor of K
+    real_factor = linsolve.factor
+    if not fast:
+        monkeypatch.setattr(linsolve, "factor",
+                            lambda a, rings=None: real_factor(a))
+    g = build_periodic_strip(16, 8, 1.0, 1.0)
+    p = ModelParams(alpha=1.0, beta=1.0, k_u=1e3, k_v=1e-3, delta_u=1.0,
+                    delta_v=0.0)
+    stepper = _CoupledStepper(g, [p], StepConfig(dt=10.0))
+    assert isinstance(stepper.lu, linsolve._FastDiagonalization) == fast
+    updates = []
+    real_update = stepper._interface_update
+    monkeypatch.setattr(stepper, "_interface_update",
+                        lambda *a: updates.append(1) or real_update(*a))
+    z = np.concatenate([np.full(g.n_omega, 10.0), np.zeros(g.n_gamma)])
+    stepper.step(z[None], 0.0)
+    assert len(updates) <= 8
+
+
+@pytest.mark.parametrize("geometry, fast", [
+    (lambda: build_periodic_strip(16, 8, 1.0, 1.0), True),
+    (lambda: build_polar_disk(8, 16, 1.0), False)], ids=["strip", "disk"])
+def test_iterating_step_does_two_sparse_solves(monkeypatch, geometry, fast):
     # two solves is the floor with O(n + n_gamma^2) storage, also for the
     # linear alpha = beta = 1 case: the first gives the interface values of
     # K^-1(-F) before p is known, the second forms z from K^-1(A p). A batch
-    # takes the same two solves, each with one column per row.
-    g = build_periodic_strip(16, 8, 1.0, 1.0)
+    # takes the same two solves, each with one column per row, whichever
+    # factor K has (fast diagonalization on the strip, SuperLU on the disk).
+    g = geometry()
     solves, updates = [], []
 
     class CountingLU:
@@ -415,7 +443,8 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
             return self.lu.solve(rhs)
 
     real_factor = linsolve.factor
-    monkeypatch.setattr(linsolve, "factor", lambda a: CountingLU(real_factor(a)))
+    monkeypatch.setattr(linsolve, "factor",
+                        lambda *a: CountingLU(real_factor(*a)))
     orders = {(2.0, 3.0): 2, (1.0, 1.0): 1, (1.5, 2.0): 2}
     batches = [[order] for order in orders] + [list(orders)]
     for batch in batches:
@@ -424,6 +453,7 @@ def test_iterating_step_does_two_sparse_solves(monkeypatch):
         rng = np.random.default_rng(4)
         z = rng.uniform(0.2, 2.0, (len(batch), g.n_omega + g.n_gamma))
         stepper = _CoupledStepper(g, params, StepConfig(dt=0.05))
+        assert isinstance(stepper.lu.lu, linsolve._FastDiagonalization) == fast
         real_update = stepper._interface_update
         monkeypatch.setattr(stepper, "_interface_update",
                             lambda *a, real=real_update:
