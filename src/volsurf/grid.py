@@ -21,12 +21,12 @@ Conventions:
     - The interval is the geometry whose surface has no faces: its boundary
       is two points with counting measure and its surface Laplacian is zero.
       The steppers read the empty gamma_faces to refuse delta_v > 0 there.
-    - bulk_rings = (rows, ring length) records that the cells are rows of
-      periodic rings, row by row, with the patches continuing them as rings
-      of the same length: ny rows of nx on the strip, nr rings of ntheta on
-      the disk, None on the interval. The steppers pass it to
-      linsolve.factor, which diagonalizes a matrix that is a Kronecker sum
-      over those rings (the strip's).
+    - The builders number the cells ring by ring (ny rows of nx on the
+      strip, nr rings of ntheta on the disk) and the patches continue them as
+      rings of the same length. That order is what lets linsolve.factor find
+      the rings in an implicit matrix and diagonalize it where it is a
+      Kronecker sum over them (the strip's); any other order still solves
+      correctly, through SuperLU.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class GridGeometry:
     gamma_measure: float
     omega_unit_coord: np.ndarray = field(repr=False)
     gamma_unit_coord: np.ndarray = field(repr=False)
-    bulk_rings: tuple[int, int] | None  # (rows, ring length) or None
 
     @property
     def n_omega(self) -> int:
@@ -120,7 +119,7 @@ def _cell_count(*counts: int) -> int:
 
 def _geometry(omega_weights, omega_faces, omega_face_coeffs, gamma_weights,
               trace_cells, gamma_faces, gamma_face_coeffs, omega_unit_coord,
-              gamma_unit_coord, bulk_rings) -> GridGeometry:
+              gamma_unit_coord) -> GridGeometry:
     """The GridGeometry of one primary mesh. Derives the trace factors, both
     Laplacians and both measures, and rejects a mesh whose sizes left the
     float range: every volume, measure, transmissibility and trace factor
@@ -145,8 +144,7 @@ def _geometry(omega_weights, omega_faces, omega_face_coeffs, gamma_weights,
         _laplacian_from_faces(len(gamma_weights), gamma_weights, gamma_faces,
                               gamma_face_coeffs),
         omega_faces, omega_face_coeffs, gamma_faces, gamma_face_coeffs,
-        omega_measure, gamma_measure, omega_unit_coord, gamma_unit_coord,
-        bulk_rings)
+        omega_measure, gamma_measure, omega_unit_coord, gamma_unit_coord)
 
 
 # the builders divide in numpy: sizes that leave the float range give inf,
@@ -169,7 +167,7 @@ def build_interval(n_cells: int, length: float) -> GridGeometry:
         np.full(n_cells, h), _chain_faces(n_cells, 1),
         np.full(n_cells - 1, 1.0) / h, np.array([1.0, 1.0]),
         np.array([0, n_cells - 1]), np.zeros((0, 2), dtype=int), np.zeros(0),
-        (np.arange(n_cells) + 0.5) * h / length, np.array([0.0, 1.0]), None)
+        (np.arange(n_cells) + 0.5) * h / length, np.array([0.0, 1.0]))
 
 
 @np.errstate(all="ignore")
@@ -201,8 +199,7 @@ def build_periodic_strip(nx: int, ny: int, width: float,
     # both rings lie at the x of the first two rows' cells
     return _geometry(
         np.full(n, dx * dy), faces, coeffs, gamma_weights, trace_cells,
-        _ring_faces(2, nx), 1.0 / gamma_weights, x / width, x[:2 * nx] / width,
-        (ny, nx))
+        _ring_faces(2, nx), 1.0 / gamma_weights, x / width, x[:2 * nx] / width)
 
 
 @np.errstate(all="ignore")
@@ -239,7 +236,7 @@ def build_polar_disk(nr: int, ntheta: int, radius: float) -> GridGeometry:
         weights, faces, coeffs, gamma_weights,
         (nr - 1) * ntheta + np.arange(ntheta),
         _ring_faces(1, ntheta), 1.0 / gamma_weights,
-        thc / (2.0 * np.pi), thc[:ntheta] / (2.0 * np.pi), (nr, ntheta))
+        thc / (2.0 * np.pi), thc[:ntheta] / (2.0 * np.pi))
 
 
 def trace(field_u: np.ndarray, geom: GridGeometry) -> np.ndarray:

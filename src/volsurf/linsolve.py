@@ -5,19 +5,18 @@ takes rhs of shape (n,) or (n, m), for reuse across right-hand sides, so a
 caller whose matrix is fixed factors once and solves many times.
 
 - Fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 1964), when
-  the caller names the ring length of its unknowns (consecutive periodic
-  rings, as GridGeometry.bulk_rings records them) and the matrix is exactly
-  a Kronecker sum over them: every entry couples a cell to itself, to its
-  two ring neighbours or to the same cell of the next or previous ring;
-  each ring's diagonal and coupling to the next ring are constant along it;
-  and every ring of a chain of coupled rings has the same ring coupling.
-  Then A = (V x Q) diag(lam) (V x Q)^T with Q the eigenbasis of the ring
-  adjacency and V that of the chain operator across the rings, both read
-  off the entries and dense, and a solve is four small matrix products per
-  column. The strip's implicit matrices meet this bit for bit; the disk's,
-  whose ring couplings scale with 1/r, do not. The fast factor is taken only
-  while its bases hold at most _BASIS_PER_UNKNOWN numbers per unknown, so a
-  long thin strip keeps SuperLU.
+  the matrix is exactly a Kronecker sum over consecutive periodic rings of
+  L unknowns, L the column of row 0's farthest entry (its coupling to the
+  next ring): the banded sum rebuilt from each ring's diagonal, ring
+  coupling and next-ring coupling at its first cell equals the matrix, and
+  every ring of a chain of coupled rings has the same ring coupling. Then
+  A = (V x Q) diag(lam) (V x Q)^T with Q the real Fourier modes of the ring
+  and V the eigenbasis of the chain operator across the rings, both dense,
+  and a solve is four small matrix products per column. The strip's
+  implicit matrices meet this bit for bit; the disk's, whose ring couplings
+  scale with 1/r, do not. The fast factor is taken only while its bases
+  hold at most _BASIS_PER_UNKNOWN numbers per unknown, so a long thin strip
+  keeps SuperLU.
 - Otherwise a sparse LU factorization (SuperLU, minimum-degree ordering on
   A^T + A) of the assembled matrix.
 
@@ -113,40 +112,34 @@ def _ring_modes(ring_len: int):
     return q / np.linalg.norm(q, axis=0), theta
 
 
-def _fast_diagonalization(a: sp.spmatrix, ring_len: int):
-    """The _FastDiagonalization of a over consecutive periodic rings of
-    ring_len unknowns, or None unless a is exactly a Kronecker sum over them
-    (see the module docstring) with finite, nonzero eigenvalues and small
-    enough bases."""
+def _fast_diagonalization(a: sp.spmatrix):
+    """The _FastDiagonalization of a, or None unless a is exactly a
+    Kronecker sum over consecutive periodic rings (see the module docstring)
+    with finite, nonzero eigenvalues and small enough bases."""
+    a = sp.csr_matrix(a)
     n = a.shape[0]
+    # row 0's farthest entry couples it to the same cell of the next ring
+    ring_len = int(a.indices[:a.indptr[1]].max(initial=0)) if n else 0
+    if a.shape != (n, n) or ring_len < 3 or n % ring_len:
+        return None
     rings = n // ring_len
-    if (a.shape != (n, n) or ring_len < 3 or rings * ring_len != n
-            or rings ** 2 + ring_len ** 2 > _BASIS_PER_UNKNOWN * n):
+    if (rings ** 2 + ring_len ** 2 > _BASIS_PER_UNKNOWN * n
+            or not np.isfinite(a.data).all()):
         return None
-    a = sp.coo_matrix(a)
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    if not np.isfinite(a.data).all():
+    # each ring's diagonal, ring coupling and coupling to the next ring, read
+    # at its first cell
+    d, e, f = (a.diagonal(k)[::ring_len] for k in (0, 1, ring_len))
+    ring = np.repeat(e, ring_len)
+    ring[ring_len - 1::ring_len] = 0.0
+    wrap = np.zeros(n - ring_len + 1)
+    wrap[::ring_len] = e
+    chain = np.repeat(f, ring_len)
+    kron_sum = sp.diags(
+        [np.repeat(d, ring_len), ring[:-1], ring[:-1], wrap, wrap, chain, chain],
+        [0, 1, -1, ring_len - 1, 1 - ring_len, ring_len, -ring_len],
+        shape=(n, n), format="csr")
+    if (kron_sum != a).nnz:
         return None
-    r, k = np.divmod(a.row, ring_len)
-    rc, kc = np.divmod(a.col, ring_len)
-    # the entries of each kind as [ring, cell]: the diagonal, the next and
-    # the previous cell on the ring, and the same cell on the next and the
-    # previous ring
-    kinds = ((r == rc) & (kc == k), (r == rc) & (kc == (k + 1) % ring_len),
-             (r == rc) & (kc == (k - 1) % ring_len),
-             (rc == r + 1) & (kc == k), (rc == r - 1) & (kc == k))
-    if not np.logical_or.reduce(kinds).all():
-        return None
-    diag, ring, ring_prev, chain, chain_prev = (np.zeros((rings, ring_len))
-                                                for _ in kinds)
-    for values, at in zip((diag, ring, ring_prev, chain, chain_prev), kinds):
-        values[r[at], k[at]] = a.data[at]
-    if not (np.array_equal(ring_prev, np.roll(ring, 1, axis=1))
-            and np.array_equal(chain_prev[1:], chain[:-1])
-            and all((x == x[:, :1]).all() for x in (diag, ring, chain))):
-        return None
-    d, e, f = diag[:, 0], ring[:, 0], chain[:-1, 0]
     # chains of rings coupled to their neighbours; each has one ring coupling
     # and its own block of V
     starts = np.flatnonzero(np.concatenate([[True], f == 0]))
@@ -169,25 +162,26 @@ def _fast_diagonalization(a: sp.spmatrix, ring_len: int):
     return _FastDiagonalization(v, q, lam)
 
 
-def factor(a: sp.spmatrix, rings: tuple[int, int] | None = None):
-    """A factor of the square matrix a whose .solve(rhs) takes rhs of shape
-    (n,) or (n, m). With rings = (rows, ring length) of a geometry's bulk
-    cells, the unknowns are read as consecutive periodic rings of that
-    length, and a fast-diagonalization factor is returned when a is a
-    Kronecker sum over them (see the module docstring). Otherwise a sparse
-    LU: a CSC matrix is factored without a copy; minimum-degree ordering on
-    A^T + A suits the symmetric implicit matrices (38% fewer factor nonzeros
-    than the default COLAMD on a 64x32 strip). Raises LinearSolverError if
-    SuperLU finds a exactly singular."""
-    if rings is not None:
-        fast = _fast_diagonalization(a, rings[1])
-        if fast is not None:
-            return fast
+def _superlu(a: sp.spmatrix):
+    """The sparse LU of a: a CSC matrix is factored without a copy;
+    minimum-degree ordering on A^T + A suits the symmetric implicit matrices
+    (29% fewer factor nonzeros than the default COLAMD on Newton's K on an
+    8x16 disk). Raises LinearSolverError if SuperLU finds a exactly
+    singular."""
     try:
         return spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolverError(f"sparse LU failed: {exc}",
                                 stats=SolveStats(float("inf"))) from exc
+
+
+def factor(a: sp.spmatrix):
+    """A factor of the square matrix a whose .solve(rhs) takes rhs of shape
+    (n,) or (n, m): the fast diagonalization when a is a Kronecker sum over
+    consecutive periodic rings, found in a itself (see the module
+    docstring), otherwise SuperLU's sparse LU."""
+    fast = _fast_diagonalization(a)
+    return _superlu(a) if fast is None else fast
 
 
 def check_residual(a: sp.spmatrix, x: np.ndarray, rhs: np.ndarray,
@@ -227,5 +221,5 @@ def solve(a: sp.spmatrix, rhs: np.ndarray, tol: float = 1e-10):
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     a = sp.csr_matrix(a)
-    x = factor(a).solve(rhs)
+    x = _superlu(a).solve(rhs)
     return x, check_residual(a, x, rhs, tol)

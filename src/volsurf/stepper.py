@@ -23,10 +23,10 @@ interface values only (the trace cells and the surface patches), reading the
 two sparse solves whatever its iteration count. K is block-diagonal, so one
 array of those rows serves every (alpha, beta), and the stepper stores
 O(n + n_Gamma^2) numbers plus one n_Gamma x n_Gamma LU per row; see
-_CoupledStepper. The sparse factorizations go through linsolve.factor with
-the geometry's rings, so on the periodic strip, where every implicit matrix
-is a Kronecker sum over them, a solve is a fast diagonalization and
-elsewhere a SuperLU solve. The dense capacitance systems are factored and
+_CoupledStepper. The sparse factorizations go through linsolve.factor, so
+on the periodic strip, where every implicit matrix is a Kronecker sum over
+the rings of cells, a solve is a fast diagonalization and elsewhere a
+SuperLU solve. The dense capacitance systems are factored and
 solved per row through LAPACK (dgetrf, dgetrs), and the first Newton
 iteration of a row's step solves with the last LU the row factored, as stiff
 solvers reuse their Jacobians (Hairer and Wanner, Solving ODEs II, IV.8).
@@ -138,9 +138,10 @@ def _step_grid(t0: float, span: float, dt: float):
 _ROUNDOFF_ULPS = 1024
 _STALL_ULPS = 2 ** 20
 
-# columns per chunk of the K^{-1}A solve at construction: enough for SuperLU's
-# multi-column solve to reach its per-column speed, few enough that the
-# transient stays O(n)
+# columns per chunk of the K^{-1}A solve at construction: few enough that the
+# transient stays O(n), and enough for SuperLU's multi-column solve to reach
+# its per-column speed; the fast factor solves each column as its own
+# matrix products, so for it the chunk only bounds the transient
 _CHUNK_COLUMNS = 32
 
 
@@ -182,7 +183,7 @@ class _LinearStepper:
         np.add.at(diag_shift, geom.trace_cells, wg * robin_coeff)
         self.a = linsolve.assemble_shifted(_weighted_diffusion(geom, params),
                                            diag_shift, 1.0)
-        self.lu = linsolve.factor(self.a, geom.bulk_rings)
+        self.lu = linsolve.factor(self.a)
 
     def step(self, z_old, boundary_source, surface_source):
         """The z-stack one step on, of the shape (..., n_Omega + n_Gamma) of
@@ -373,8 +374,7 @@ class _CoupledStepper:
         n_u, n_g = geom.n_omega, geom.n_gamma
         self.mass = np.concatenate([geom.omega_weights, geom.gamma_weights])
         self.diffusion = _weighted_diffusion(geom, first)
-        self.lu = linsolve.factor(
-            sp.diags(self.mass / cfg.dt) - self.diffusion, geom.bulk_rings)
+        self.lu = linsolve.factor(sp.diags(self.mass / cfg.dt) - self.diffusion)
         # A's two entries per column: the trace cell of each patch, then the
         # patch itself
         self.interface = np.concatenate([geom.trace_cells, n_u + np.arange(n_g)])

@@ -243,9 +243,3 @@ def test_strip_invariants_random(nx, ny, width, height):
     lhs = w @ ((g.bulk_laplacian @ x) * y)
     rhs = w @ (x * (g.bulk_laplacian @ y))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_geometries_record_their_rings():
-    assert build_periodic_strip(6, 3, 1.0, 1.0).bulk_rings == (3, 6)
-    assert build_polar_disk(4, 7, 1.0).bulk_rings == (4, 7)
-    assert build_interval(5, 1.0).bulk_rings is None

@@ -97,9 +97,11 @@ def test_2d_bulk_operator_solves_to_tolerance():
 
 
 def test_factor_reused_across_right_hand_sides():
-    g = build_periodic_strip(10, 5, 1.0, 1.0)
+    # the disk's matrices are no Kronecker sums: factor reuses SuperLU
+    g = build_polar_disk(8, 16, 1.0)
     a = assemble_shifted(g.bulk_laplacian, np.full(g.n_omega, 2.0), 0.1)
     lu = factor(a)
+    assert isinstance(lu, spla.SuperLU)
     b = np.stack([np.arange(g.n_omega, dtype=float),
                   np.sin(np.arange(g.n_omega))], axis=1)
     x = lu.solve(b)
@@ -218,7 +220,7 @@ def implicit_matrix(g, kind, delta_v, dt):
 def test_fast_factor_solves_strip_matrices(nx, ny, delta_v, kind, dt):
     g = build_periodic_strip(nx, ny, 2.0, 1.0)
     a = implicit_matrix(g, kind, delta_v, dt)
-    lu = factor(a, g.bulk_rings)
+    lu = factor(a)
     assert isinstance(lu, linsolve._FastDiagonalization)
     rhs = np.random.default_rng(nx).standard_normal((a.shape[0], 3))
     x = lu.solve(rhs)
@@ -231,7 +233,7 @@ def test_fast_factor_solves_strip_matrices(nx, ny, delta_v, kind, dt):
 
 def test_fast_factor_columns_round_as_one_column_solves():
     g = build_periodic_strip(16, 8, 2.0, 1.0)
-    lu = factor(implicit_matrix(g, "newton", 0.5, 0.02), g.bulk_rings)
+    lu = factor(implicit_matrix(g, "newton", 0.5, 0.02))
     rhs = np.random.default_rng(5).standard_normal((g.n_omega + g.n_gamma, 6))
     x = lu.solve(rhs)
     for j in range(rhs.shape[1]):
@@ -242,26 +244,46 @@ def test_fast_factor_columns_round_as_one_column_solves():
     assert np.array_equal(lu.solve(np.ascontiguousarray(rhs.T).T), x)
 
 
-def perturbed_strip_matrix():
-    # one diagonal entry one ulp off: no longer constant along its ring
-    g = build_periodic_strip(8, 4, 2.0, 1.0)
-    a = implicit_matrix(g, "newton", 0.5, 0.02).tolil()
-    a[5, 5] = np.nextafter(a[5, 5], np.inf)
-    return g, a.tocsr()
+# entries of Newton's K on the 8x4 strip nudged one ulp up, each where the
+# detector reads or rebuilds the Kronecker sum: ring 1 holds the unknowns
+# 8..15, and its first cell 8 is where its diagonal, ring coupling and
+# next-ring coupling are read
+NUDGED = {
+    "perturbed-strip": [(5, 5)],  # a diagonal not constant along its ring
+    "asymmetric-ring-pair": [(5, 6)],
+    "wrap-around": [(8, 15), (15, 8)],
+    "next-ring": [(13, 21), (21, 13)],
+    "previous-ring": [(13, 5)],
+    "first-cell-diagonal": [(8, 8)],
+    "first-cell-ring": [(8, 9), (9, 8)],
+    "first-cell-next-ring": [(8, 16), (16, 8)],
+}
 
 
-@pytest.mark.parametrize("case", ["disk", "interval", "thin-strip",
-                                  "perturbed-strip"])
+def nudged_strip_matrix(entries):
+    a = implicit_matrix(build_periodic_strip(8, 4, 2.0, 1.0), "newton", 0.5,
+                        0.02)
+    assert isinstance(factor(a), linsolve._FastDiagonalization)
+    a = a.tolil()
+    for ij in entries:
+        a[ij] = np.nextafter(a[ij], np.inf)
+    return a.tocsr()
+
+
+@pytest.mark.parametrize("case", ["disk", "interval", "thin-strip", "empty",
+                                  "scalar", *NUDGED])
 def test_fast_factor_taken_only_for_kronecker_sums(case):
-    if case == "perturbed-strip":
-        g, a = perturbed_strip_matrix()
+    geometries = {"disk": lambda: build_polar_disk(4, 8, 1.0),
+                  "interval": lambda: build_interval(10, 1.0),
+                  "thin-strip": lambda: build_periodic_strip(64, 2, 8.0, 0.25)}
+    if case in NUDGED:
+        a = nudged_strip_matrix(NUDGED[case])
+    elif case in geometries:
+        a = implicit_matrix(geometries[case](), "newton", 0.0, 0.02)
     else:
-        g = {"disk": lambda: build_polar_disk(4, 8, 1.0),
-             "interval": lambda: build_interval(10, 1.0),
-             "thin-strip": lambda: build_periodic_strip(64, 2, 8.0, 0.25),
-             }[case]()
-        a = implicit_matrix(g, "newton", 0.0, 0.02)
-    lu = factor(a, g.bulk_rings)
+        a = {"empty": sp.csr_matrix((0, 0)),
+             "scalar": sp.csr_matrix([[2.0]])}[case]
+    lu = factor(a)
     assert isinstance(lu, spla.SuperLU)
     rhs = np.random.default_rng(2).standard_normal(a.shape[0])
     assert np.linalg.norm(a @ lu.solve(rhs)) == pytest.approx(
